@@ -51,9 +51,11 @@ func (p Params) breadth(depth int) int {
 // end `loose`, the move removes edges (t1,loose) and (v,y), and adds
 // (loose,y) and (v,t1), making v the new loose end. Steps are recorded
 // orientation-free: apply/undo re-derive the array direction from Next(t1),
-// because shorter-side flips may mirror the stored orientation.
+// because shorter-side flips may mirror the stored orientation. y is not
+// needed to flip; it is kept so an accepted chain can re-queue every
+// endpoint of the edges it changed.
 type step struct {
-	loose, v int32
+	loose, v, y int32
 }
 
 // Optimizer runs Lin-Kernighan over an ArrayTour. It maintains don't-look
@@ -261,12 +263,13 @@ func (o *Optimizer) tryChain(t1, loose int32) int64 {
 	if o.bestGain <= 0 {
 		return 0
 	}
-	// Re-apply the winning prefix and collect touched cities.
+	// Re-apply the winning prefix and collect touched cities: the
+	// endpoints of every removed and added edge.
 	o.touched = o.touched[:0]
 	o.touched = append(o.touched, t1, loose)
 	for _, s := range o.bestPath[:o.bestLen] {
 		o.applyStep(s)
-		o.touched = append(o.touched, s.loose, s.v)
+		o.touched = append(o.touched, s.loose, s.v, s.y)
 	}
 	o.length -= o.bestGain
 	return o.bestGain
@@ -276,6 +279,15 @@ func (o *Optimizer) tryChain(t1, loose int32) int64 {
 // gain of removed-minus-added real edges so far (> relaxLimit on entry;
 // always > 0 under the classic rule). The tour state is restored before
 // dive returns.
+//
+// The rule is first improvement: once a child dive returns with an
+// improving closing found (bestGain > 0), no further sibling is tried and
+// the chain commits, as in Lin and Kernighan's original rule and
+// Concorde's linkern. The chain still runs deeper along its first
+// feasible candidate, since a deeper close may gain more. Depths below
+// RelaxDepth are the exception: there the relaxed rule keeps its full
+// breadth, because the plateau crossings it exists for are found among
+// the later siblings.
 //
 //distlint:hotpath
 func (o *Optimizer) dive(loose int32, G int64, depth int) {
@@ -319,7 +331,7 @@ func (o *Optimizer) dive(loose int32, G int64, depth int) {
 		newG := g + o.dist(y, v)
 		closeGain := newG - o.dist(v, t1)
 
-		s := step{loose: loose, v: v}
+		s := step{loose: loose, v: v, y: y}
 		o.path = append(o.path, s)
 		if closeGain > o.bestGain {
 			o.bestGain = closeGain
@@ -336,6 +348,9 @@ func (o *Optimizer) dive(loose int32, G int64, depth int) {
 		}
 		o.path = o.path[:len(o.path)-1]
 
+		if o.bestGain > 0 && depth >= o.relaxDepth {
+			break // first improvement: commit the chain found so far
+		}
 		tried++
 		if tried >= width {
 			break

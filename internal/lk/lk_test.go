@@ -188,3 +188,62 @@ func TestLKStopFunction(t *testing.T) {
 		t.Fatal("aborted optimize left inconsistent cached length")
 	}
 }
+
+// edgeKey is the undirected key of edge (a, b).
+func edgeKey(a, b int32) [2]int32 { return [2]int32{min(a, b), max(a, b)} }
+
+// tourEdges returns the undirected edge set of t.
+func tourEdges(t tsp.Tour) map[[2]int32]bool {
+	edges := make(map[[2]int32]bool, len(t))
+	for i, a := range t {
+		edges[edgeKey(a, t[(i+1)%len(t)])] = true
+	}
+	return edges
+}
+
+// TestTouchedCoversChangedEdges: after every accepted chain, each endpoint
+// of every edge the chain removed or added must be in touched. A missed
+// endpoint keeps its don't-look bit although its edges changed, so the
+// settled tour is not a local optimum when every city is re-queued.
+func TestTouchedCoversChangedEdges(t *testing.T) {
+	for _, fam := range []tsp.Family{tsp.FamilyUniform, tsp.FamilyDrill} {
+		for _, p := range []Params{DefaultParams(), relaxedParams()} {
+			in := tsp.Generate(fam, 300, 12)
+			nbr := neighbor.Build(in, 8)
+			rng := rand.New(rand.NewSource(31))
+			o := NewOptimizer(in, nbr, randomTourOf(in.N(), rng), p)
+			chains := 0
+			// checkGone fails unless both endpoints of every edge of t
+			// missing from other are in touched.
+			checkGone := func(c int32, t1 tsp.Tour, other map[[2]int32]bool) {
+				touched := make(map[int32]bool, len(o.touched))
+				for _, tc := range o.touched {
+					touched[tc] = true
+				}
+				for i, a := range t1 {
+					b := t1[(i+1)%len(t1)]
+					if other[edgeKey(a, b)] {
+						continue
+					}
+					if !touched[a] || !touched[b] {
+						t.Fatalf("%v relax=%d: chain at %d changed edge (%d,%d), touched %v",
+							fam, p.RelaxDepth, c, a, b, o.touched)
+					}
+				}
+			}
+			for c := int32(0); c < int32(in.N()); c++ {
+				before := o.Tour.Tour()
+				for o.improveCity(c) > 0 {
+					chains++
+					after := o.Tour.Tour()
+					checkGone(c, before, tourEdges(after)) // removed edges
+					checkGone(c, after, tourEdges(before)) // added edges
+					before = after
+				}
+			}
+			if chains == 0 {
+				t.Fatalf("%v relax=%d: no chain accepted", fam, p.RelaxDepth)
+			}
+		}
+	}
+}

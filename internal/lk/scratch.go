@@ -50,7 +50,7 @@ func NewOptimizerWith(sc *Scratch, inst *tsp.Instance, nbr *neighbor.Lists, tour
 	if cap(sc.bestPath) < params.MaxDepth {
 		sc.bestPath = make([]step, 0, params.MaxDepth)
 	}
-	if t := 2*params.MaxDepth + 2; cap(sc.touched) < t {
+	if t := 3*params.MaxDepth + 2; cap(sc.touched) < t {
 		sc.touched = make([]int32, 0, t)
 	}
 	o := &Optimizer{

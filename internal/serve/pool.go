@@ -33,9 +33,17 @@ type pool struct {
 	complete atomic.Int64
 	rejected atomic.Int64
 
-	scratch       sync.Pool
+	scratch       scratchPool
 	scratchGets   atomic.Int64
 	scratchMisses atomic.Int64
+}
+
+// scratchPool holds idle per-job scratch: a sync.Pool (without New) in
+// the service, a deterministic free list in tests. Get returns nil when
+// nothing can be recycled.
+type scratchPool interface {
+	Get() any
+	Put(any)
 }
 
 // newPool starts `workers` goroutines under ctx (the server's root
@@ -46,12 +54,7 @@ func newPool(ctx context.Context, workers, depth int, run func(ctx context.Conte
 		batch:       make(chan *job, depth),
 		stop:        make(chan struct{}),
 		run:         run,
-	}
-	// The pool miss counter lives in New: every Get that cannot recycle
-	// lands here, so gets - misses = pool hits.
-	p.scratch.New = func() any {
-		p.scratchMisses.Add(1)
-		return new(clk.Scratch)
+		scratch:     new(sync.Pool),
 	}
 	p.wg.Add(workers)
 	for i := 0; i < workers; i++ {
@@ -120,7 +123,13 @@ func (p *pool) execute(ctx context.Context, j *job) {
 	defer p.active.Add(-1)
 	defer p.complete.Add(1)
 	p.scratchGets.Add(1)
-	sc := p.scratch.Get().(*clk.Scratch)
+	sc, _ := p.scratch.Get().(*clk.Scratch)
+	if sc == nil {
+		// Every Get that cannot recycle lands here, so gets - misses =
+		// pool hits.
+		p.scratchMisses.Add(1)
+		sc = new(clk.Scratch)
+	}
 	defer p.scratch.Put(sc)
 	p.run(ctx, j, sc)
 }

@@ -10,8 +10,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
-	"runtime/debug"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -361,14 +361,38 @@ func TestStreamClientDisconnectNoLeak(t *testing.T) {
 	t.Errorf("goroutines leaked: %d running, baseline %d", runtime.NumGoroutine(), baseline)
 }
 
+// freeList is a deterministic scratchPool: a Put is visible to the next
+// Get whatever goroutine or P either runs on, unlike sync.Pool's per-P
+// slots, which the race detector also drops Puts from on purpose.
+type freeList struct {
+	mu   sync.Mutex
+	idle []any
+}
+
+func (f *freeList) Get() any {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if len(f.idle) == 0 {
+		return nil
+	}
+	x := f.idle[len(f.idle)-1]
+	f.idle = f.idle[:len(f.idle)-1]
+	return x
+}
+
+func (f *freeList) Put(x any) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.idle = append(f.idle, x)
+}
+
 // A cancelled job must return its pooled scratch for reuse: with one
-// worker, the follow-up jobs hit the scratch pool instead of allocating
-// fresh buffers.
+// worker, the follow-up jobs recycle it instead of allocating fresh
+// buffers. The pool is a free list so the count does not hinge on which
+// P sync.Pool parks the returned scratch on.
 func TestCancelledJobFreesScratchForReuse(t *testing.T) {
-	// sync.Pool is emptied by GC; pin it off so the hit/miss counts are
-	// deterministic rather than dependent on collection timing.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	svc, ts := testServer(t, Options{Workers: 1})
+	svc.pool.scratch = &freeList{}
 	js := submitAsync(t, ts.URL, reqBody(t, 400, 8, SolveParams{BudgetMS: 10_000}, ""))
 	waitState(t, ts.URL, js.JobID, stateRunning)
 	cancelJob(t, ts.URL, js.JobID)
@@ -384,9 +408,7 @@ func TestCancelledJobFreesScratchForReuse(t *testing.T) {
 	if gets != 4 {
 		t.Fatalf("scratch gets %d, want 4", gets)
 	}
-	// Under -race the runtime drops a random fraction of sync.Pool Puts
-	// on purpose, so the exact reuse count only holds in normal builds.
-	if !raceEnabled && misses != 1 {
+	if misses != 1 {
 		t.Fatalf("scratch misses %d, want 1 (steady-state jobs must reuse the pooled scratch)", misses)
 	}
 }
