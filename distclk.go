@@ -13,7 +13,7 @@
 // promptly returns the best tour found so far. Progress exposes periodic
 // snapshots of the running solve. Lower layers (the LK engine, kicking
 // strategies, transports, baselines, the observability spine, the
-// experiment harness) live under internal/ and are driven by the cmd/
+// reproduction pipeline) live under internal/ and are driven by the cmd/
 // binaries.
 //
 // # Options matrix

@@ -3,8 +3,8 @@
 // escalations, restarts, tour exchanges), lock-cheap atomic counters, and
 // pluggable sinks. The paper's own evaluation (§4 message counts, §4.2.1
 // variator-strength timeline) is computed from exactly these signals; the
-// experiment harness, the smoke-tier reproduction pipeline
-// (internal/report), the facade's progress snapshots and the binaries'
+// smoke-tier reproduction pipeline (internal/report), the facade's
+// progress snapshots, the solve service's event streams and the binaries'
 // -metrics endpoints all report through this package.
 //
 // Invariants:

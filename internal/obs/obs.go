@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
-	"io"
 	"sort"
 	"sync"
 	"time"
@@ -126,7 +124,7 @@ var kindNames = [numKinds]string{
 	"coalesced",
 }
 
-// String names the kind; these names are the JSONL trace vocabulary.
+// String names the kind; these names are the event-stream vocabulary.
 func (k Kind) String() string {
 	if int(k) < len(kindNames) {
 		return kindNames[k]
@@ -264,60 +262,6 @@ func (r *RingSink) Total() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.total
-}
-
-// jsonlEvent is the wire form of one trace line.
-type jsonlEvent struct {
-	AtMS  float64 `json:"at_ms"`
-	Node  int     `json:"node"`
-	Kind  string  `json:"kind"`
-	Value int64   `json:"value,omitempty"`
-	From  *int    `json:"from,omitempty"`
-}
-
-// JSONLSink writes one JSON object per event:
-//
-//	{"at_ms":152.4,"node":3,"kind":"broadcast-sent","value":8042}
-//
-// at_ms is the offset from run start in milliseconds; `from` appears only
-// on received-tour events. Write errors are sticky: the first one is kept
-// and later events are dropped.
-type JSONLSink struct {
-	mu  sync.Mutex
-	enc *json.Encoder
-	err error
-}
-
-// NewJSONLSink wraps w. The caller owns w's lifecycle (flush/close).
-func NewJSONLSink(w io.Writer) *JSONLSink {
-	return &JSONLSink{enc: json.NewEncoder(w)}
-}
-
-// Emit writes the event as one JSONL line.
-func (j *JSONLSink) Emit(e Event) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.err != nil {
-		return
-	}
-	we := jsonlEvent{
-		AtMS:  float64(e.At.Microseconds()) / 1000,
-		Node:  e.Node,
-		Kind:  e.Kind.String(),
-		Value: e.Value,
-	}
-	if e.From >= 0 {
-		from := e.From
-		we.From = &from
-	}
-	j.err = j.enc.Encode(we)
-}
-
-// Err returns the first write error, if any.
-func (j *JSONLSink) Err() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.err
 }
 
 type filterSink struct {

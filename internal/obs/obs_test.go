@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"net/http/httptest"
 	"strings"
@@ -68,37 +66,6 @@ func TestRingSinkEvicts(t *testing.T) {
 	}
 	if r.Total() != 7 {
 		t.Fatalf("total = %d, want 7", r.Total())
-	}
-}
-
-func TestJSONLSink(t *testing.T) {
-	var buf bytes.Buffer
-	j := NewJSONLSink(&buf)
-	j.Emit(Event{At: 1500 * time.Microsecond, Node: 3, Kind: KindBroadcastSent, Value: 8042, From: -1})
-	j.Emit(Event{At: 2 * time.Millisecond, Node: 1, Kind: KindImproveReceived, Value: 8000, From: 3})
-	if j.Err() != nil {
-		t.Fatal(j.Err())
-	}
-	sc := bufio.NewScanner(&buf)
-	var lines []map[string]any
-	for sc.Scan() {
-		var m map[string]any
-		if err := json.Unmarshal(sc.Bytes(), &m); err != nil {
-			t.Fatalf("bad JSONL line: %v", err)
-		}
-		lines = append(lines, m)
-	}
-	if len(lines) != 2 {
-		t.Fatalf("wrote %d lines, want 2", len(lines))
-	}
-	if lines[0]["kind"] != "broadcast-sent" || lines[0]["at_ms"] != 1.5 {
-		t.Fatalf("line 0 = %v", lines[0])
-	}
-	if _, hasFrom := lines[0]["from"]; hasFrom {
-		t.Fatal("from must be omitted when -1")
-	}
-	if lines[1]["from"] != float64(3) {
-		t.Fatalf("line 1 from = %v, want 3", lines[1]["from"])
 	}
 }
 

@@ -349,7 +349,7 @@ func (r *Recorder) Snapshot() CounterSnapshot {
 // Observer owns the observability of one whole solve: a recorder per node,
 // all on a shared run clock, EA-level events funnelled into one collector
 // for post-run analysis, plus an optional extra sink receiving every event
-// unfiltered (JSONL traces, live listeners).
+// unfiltered (the solve service's event streams, live listeners).
 type Observer struct {
 	start     time.Time
 	clock     func() time.Duration // virtual clock; nil = wall time

@@ -2,18 +2,21 @@ package report
 
 // Smoke-tier constants. The smoke tier is the deterministic reproduction
 // the repository commits and CI regenerates: paper instances stand in at
-// 1/16 scale (bench's 120-city floor applies), plain CLK is budgeted in
-// kicks, and clusters run on simnet's virtual clock — no wall time anywhere,
-// so regeneration is byte-identical for a fixed manifest.
+// 1/16 scale with a 120-city floor, plain CLK is budgeted in kicks, and
+// clusters run on simnet's virtual clock — no wall time anywhere, so
+// regeneration is byte-identical for a fixed manifest.
 const (
 	// smokeSizeScale divides the paper's instance sizes.
 	smokeSizeScale = 16
+	// smokeMinCities is the stand-in size floor, so local search still has
+	// structure to exploit.
+	smokeMinCities = 120
 	// smokeInstanceSeed fixes stand-in geometry (independent of run seeds).
 	smokeInstanceSeed = 1
 	// smokeHKIters bounds the Held-Karp ascent for quality denominators.
 	smokeHKIters = 50
-	// smokeCV/smokeCR are the EA constants scaled to smoke budgets, the
-	// same compression quick mode uses (see EXPERIMENTS.md methodology).
+	// smokeCV/smokeCR are the EA constants scaled to smoke budgets (see
+	// EXPERIMENTS.md methodology).
 	smokeCV = 4
 	smokeCR = 16
 	// smokeKicksPerCall bounds the embedded CLK run per EA iteration.
@@ -47,8 +50,8 @@ type Experiment struct {
 	Section string
 	// Title is a one-line description of what the artifact shows.
 	Title string
-	// Instances are paper instance names resolved against the bench
-	// testbed (synthetic stand-ins at smokeSizeScale).
+	// Instances are paper instance names, resolved to synthetic stand-ins
+	// at smokeSizeScale (see standIn).
 	Instances []string
 	// Runs and Seed define the run matrix: run r uses Seed + 101*r.
 	Runs int

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"distclk/internal/bench"
 	"distclk/internal/clk"
 	"distclk/internal/core"
 	"distclk/internal/heldkarp"
@@ -18,8 +17,7 @@ import (
 
 // Trace is one run's non-increasing quality trace over a deterministic
 // work axis: kick count for plain CLK, virtual microseconds for simnet
-// cluster runs. (bench.Series carries wall-clock traces; this type exists
-// because smoke-tier axes must never touch a wall clock.)
+// cluster runs. Smoke-tier axes never touch a wall clock.
 type Trace struct {
 	Label string
 	X     []int64 // kick index, or virtual time in microseconds
@@ -98,9 +96,6 @@ type SimRun struct {
 // Runs are cached so experiments sharing a configuration (Tables 3-5 and
 // Figure 2 share CLK runs, for example) execute once.
 type Runner struct {
-	// Testbed resolves paper instance names to scaled stand-in specs.
-	Testbed bench.Options
-
 	instances map[string]*tsp.Instance
 	hk        map[string]int64
 	clkCache  map[string][]Trace
@@ -109,11 +104,7 @@ type Runner struct {
 
 // NewRunner prepares a smoke-tier runner.
 func NewRunner() *Runner {
-	opt := bench.QuickOptions()
-	opt.SizeScale = smokeSizeScale
-	opt.Seed = smokeInstanceSeed
 	return &Runner{
-		Testbed:   opt,
 		instances: map[string]*tsp.Instance{},
 		hk:        map[string]int64{},
 		clkCache:  map[string][]Trace{},
@@ -121,17 +112,28 @@ func NewRunner() *Runner {
 	}
 }
 
+// standIn resolves a paper instance name to its smoke-tier stand-in: the
+// paper's family at 1/smokeSizeScale of its size, never below
+// smokeMinCities.
+func standIn(name string) (tsp.Family, int, error) {
+	fam, n, err := tsp.PaperInstance(name)
+	if err != nil {
+		return 0, 0, err
+	}
+	return fam, max(n/smokeSizeScale, smokeMinCities), nil
+}
+
 // Instance materializes (and caches) the stand-in for a paper instance.
 func (r *Runner) Instance(name string) (*tsp.Instance, error) {
 	if in, ok := r.instances[name]; ok {
 		return in, nil
 	}
-	spec, err := r.Testbed.SpecByName(name)
+	fam, n, err := standIn(name)
 	if err != nil {
 		return nil, err
 	}
-	in := tsp.Generate(spec.Family, spec.N, smokeInstanceSeed)
-	in.Name = spec.Paper + "-standin"
+	in := tsp.Generate(fam, n, smokeInstanceSeed)
+	in.Name = name + "-standin"
 	r.instances[name] = in
 	return in, nil
 }
@@ -151,46 +153,31 @@ func (r *Runner) HKBound(name string) (int64, error) {
 }
 
 // CLKRuns performs (and caches) `runs` seeded plain-CLK runs of `kicks`
-// kicks each. The trace axis is the kick index; run r uses seed+101*r.
-// KickOnce is single-goroutine and seeded, so each trace is a pure function
-// of (instance, strategy, kicks, seed).
+// kicks each under the given kick strategy.
 func (r *Runner) CLKRuns(name string, kick clk.KickStrategy, kicks int64, runs int, seed int64) ([]Trace, error) {
-	key := fmt.Sprintf("%s/%v/%d/%d/%d", name, kick, kicks, runs, seed)
-	if out, ok := r.clkCache[key]; ok {
-		return out, nil
-	}
-	in, err := r.Instance(name)
-	if err != nil {
-		return nil, err
-	}
 	p := clk.DefaultParams()
 	p.Kick = kick
-	out := make([]Trace, runs)
-	for run := 0; run < runs; run++ {
-		s := clk.New(in, p, seed+101*int64(run))
-		tr := Trace{Label: fmt.Sprintf("%s/CLK-%v/run%d", name, kick, run)}
-		tr.X = append(tr.X, 0)
-		tr.L = append(tr.L, s.BestLength())
-		for k := int64(1); k <= kicks; k++ {
-			if s.KickOnce() {
-				tr.X = append(tr.X, k)
-				tr.L = append(tr.L, s.BestLength())
-			}
-		}
-		tr.Final = s.BestLength()
-		out[run] = tr
-	}
-	r.clkCache[key] = out
-	return out, nil
+	return r.clkRuns(fmt.Sprintf("%s/CLK-%v", name, kick), name, p, kicks, runs, seed)
 }
 
 // CLKCandRuns is CLKRuns under an explicit candidate-strategy / gain-rule
 // configuration (kick strategy stays the random-walk default): `cand` names
 // a registered neighbor strategy, `relax` is the LK relaxed-gain depth
-// (0 = classic rule). Run r uses seed+101*r, exactly as CLKRuns, and the
-// traces share its cache keyed by the full configuration.
+// (0 = classic rule).
 func (r *Runner) CLKCandRuns(name, cand string, relax int, kicks int64, runs int, seed int64) ([]Trace, error) {
-	key := fmt.Sprintf("cand/%s/%s/%d/%d/%d/%d", name, cand, relax, kicks, runs, seed)
+	p := clk.DefaultParams()
+	p.Candidates = cand
+	p.LK.RelaxDepth = relax
+	return r.clkRuns(fmt.Sprintf("%s/CLK-%s-relax%d", name, cand, relax), name, p, kicks, runs, seed)
+}
+
+// clkRuns is the one plain-CLK loop. The trace axis is the kick index; run
+// r uses seed+101*r and is labelled label/run<r>. label must name the whole
+// configuration, since it also keys the cache. KickOnce is
+// single-goroutine and seeded, so each trace is a pure function of
+// (instance, params, kicks, seed).
+func (r *Runner) clkRuns(label, name string, p clk.Params, kicks int64, runs int, seed int64) ([]Trace, error) {
+	key := fmt.Sprintf("%s/%d/%d/%d", label, kicks, runs, seed)
 	if out, ok := r.clkCache[key]; ok {
 		return out, nil
 	}
@@ -198,13 +185,10 @@ func (r *Runner) CLKCandRuns(name, cand string, relax int, kicks int64, runs int
 	if err != nil {
 		return nil, err
 	}
-	p := clk.DefaultParams()
-	p.Candidates = cand
-	p.LK.RelaxDepth = relax
 	out := make([]Trace, runs)
 	for run := 0; run < runs; run++ {
 		s := clk.New(in, p, seed+101*int64(run))
-		tr := Trace{Label: fmt.Sprintf("%s/CLK-%s-relax%d/run%d", name, cand, relax, run)}
+		tr := Trace{Label: fmt.Sprintf("%s/run%d", label, run)}
 		tr.X = append(tr.X, 0)
 		tr.L = append(tr.L, s.BestLength())
 		for k := int64(1); k <= kicks; k++ {
@@ -222,14 +206,8 @@ func (r *Runner) CLKCandRuns(name, cand string, relax int, kicks int64, runs int
 
 // SimRuns performs (and caches) `runs` simnet cluster runs: `nodes` nodes
 // on a hypercube, `iters` EA iterations per node, fixed 5ms links, default
-// 100ms step cost. The trace axis is virtual microseconds, read off the
-// merged improvement events; run r uses seed+101*r. Determinism is
-// simnet's replay contract (same instance+Config => byte-identical events).
+// 100ms step cost.
 func (r *Runner) SimRuns(name string, nodes int, iters int64, kick clk.KickStrategy, runs int, seed int64) ([]SimRun, error) {
-	key := fmt.Sprintf("%s/%v/%d/%d/%d/%d", name, kick, nodes, iters, runs, seed)
-	if out, ok := r.simCache[key]; ok {
-		return out, nil
-	}
 	in, err := r.Instance(name)
 	if err != nil {
 		return nil, err
@@ -239,40 +217,17 @@ func (r *Runner) SimRuns(name string, nodes int, iters int64, kick clk.KickStrat
 	ea.CV = smokeCV
 	ea.CR = smokeCR
 	ea.KicksPerCall = smokeKicksPerCall
-	out := make([]SimRun, runs)
-	for run := 0; run < runs; run++ {
-		cfg := simnet.Config{
-			Nodes:  nodes,
-			Topo:   topology.Hypercube,
-			EA:     ea,
-			Budget: core.Budget{MaxIterations: iters},
-			Seed:   seed + 101*int64(run),
-			Link: simnet.Link{
-				Latency: simnet.Latency{Kind: simnet.LatencyFixed, Base: 5 * time.Millisecond},
-			},
-		}
-		res := simnet.Run(context.Background(), in, cfg)
-		tr := Trace{
-			Label: fmt.Sprintf("%s/DistCLK%d/run%d", name, nodes, run),
-			Final: res.BestLength,
-		}
-		best := int64(1 << 62)
-		for _, e := range res.Events {
-			if e.Kind != obs.KindImprove && e.Kind != obs.KindImproveReceived {
-				continue
-			}
-			if e.Value < best {
-				best = e.Value
-				tr.X = append(tr.X, e.At.Microseconds())
-				tr.L = append(tr.L, e.Value)
-			}
-		}
-		tr.X = append(tr.X, res.VirtualElapsed.Microseconds())
-		tr.L = append(tr.L, res.BestLength)
-		out[run] = SimRun{Trace: tr, Res: res}
+	cfg := simnet.Config{
+		Nodes:  nodes,
+		Topo:   topology.Hypercube,
+		EA:     ea,
+		Budget: core.Budget{MaxIterations: iters},
+		Link: simnet.Link{
+			Latency: simnet.Latency{Kind: simnet.LatencyFixed, Base: 5 * time.Millisecond},
+		},
 	}
-	r.simCache[key] = out
-	return out, nil
+	key := fmt.Sprintf("%s/%v/%d/%d", name, kick, nodes, iters)
+	return r.simRuns(key, fmt.Sprintf("%s/DistCLK%d", name, nodes), in, cfg, runs, seed), nil
 }
 
 // ScaleInstance materializes (and caches) an n-city uniform instance for
@@ -305,11 +260,17 @@ func (r *Runner) ScaleHKBound(n int) int64 {
 // SimRunsEx performs (and caches) `runs` simnet cluster runs under an
 // explicit simnet.Config — topology, exchange protocol, link model, EA
 // constants and budget all come from the caller, unlike SimRuns' fixed
-// hypercube. Run r overrides cfg.Seed with seed+101*r; key must uniquely
-// describe (instance, cfg) for the cache. The trace axis is virtual
-// microseconds, exactly as SimRuns.
+// hypercube. key must uniquely describe (instance, cfg) for the cache.
 func (r *Runner) SimRunsEx(key string, in *tsp.Instance, cfg simnet.Config, runs int, seed int64) []SimRun {
-	ck := fmt.Sprintf("ex/%s/%d/%d", key, runs, seed)
+	return r.simRuns("ex/"+key, fmt.Sprintf("%s/%v%d", in.Name, cfg.Topo, cfg.Nodes), in, cfg, runs, seed)
+}
+
+// simRuns is the one simnet loop. Run r overrides cfg.Seed with
+// seed+101*r and is labelled label/run<r>. The trace axis is virtual
+// microseconds, read off the merged improvement events. Determinism is
+// simnet's replay contract (same instance+Config => byte-identical events).
+func (r *Runner) simRuns(key, label string, in *tsp.Instance, cfg simnet.Config, runs int, seed int64) []SimRun {
+	ck := fmt.Sprintf("%s/%d/%d", key, runs, seed)
 	if out, ok := r.simCache[ck]; ok {
 		return out
 	}
@@ -319,7 +280,7 @@ func (r *Runner) SimRunsEx(key string, in *tsp.Instance, cfg simnet.Config, runs
 		c.Seed = seed + 101*int64(run)
 		res := simnet.Run(context.Background(), in, c)
 		tr := Trace{
-			Label: fmt.Sprintf("%s/%v%d/run%d", in.Name, cfg.Topo, cfg.Nodes, run),
+			Label: fmt.Sprintf("%s/run%d", label, run),
 			Final: res.BestLength,
 		}
 		best := int64(1 << 62)

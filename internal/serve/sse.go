@@ -9,7 +9,7 @@ import (
 )
 
 // wireEvent is the streaming wire form of one solve event, shared by the
-// SSE and JSONL formats (the same vocabulary as the obs JSONL traces).
+// SSE and JSONL formats; kind is obs.Kind's String name.
 type wireEvent struct {
 	AtMS  float64 `json:"at_ms"`
 	Kind  string  `json:"kind"`

@@ -1,5 +1,5 @@
-// Package stats provides the summary statistics the experiment harness
-// and the reproduction pipeline report: mean, median, standard deviation,
+// Package stats provides the summary statistics the reproduction pipeline
+// reports: mean, median, standard deviation,
 // min/max, excess-over-reference percentages and ratios over run samples
 // (the paper averages each configuration over 10 runs, §3.1).
 //

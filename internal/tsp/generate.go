@@ -217,11 +217,10 @@ func clamp(v, lo, hi float64) float64 {
 }
 
 // StandIn returns the synthetic stand-in for a paper testbed instance name
-// (e.g. "fl3795" -> drill family with 3795 cities). Unknown names get the
-// uniform family with the numeric suffix as size. The seed fixes geometry so
-// repeated calls agree across processes.
+// (e.g. "fl3795" -> drill family with 3795 cities). Unknown names are an
+// error. The seed fixes geometry so repeated calls agree across processes.
 func StandIn(paperName string, seed int64) (*Instance, error) {
-	fam, n, err := paperInstance(paperName)
+	fam, n, err := PaperInstance(paperName)
 	if err != nil {
 		return nil, err
 	}
@@ -231,7 +230,9 @@ func StandIn(paperName string, seed int64) (*Instance, error) {
 	return in, nil
 }
 
-func paperInstance(name string) (Family, int, error) {
+// PaperInstance is the paper's testbed table: the synthetic family that
+// stands in for a paper instance name, and the instance's full size.
+func PaperInstance(name string) (Family, int, error) {
 	switch name {
 	case "E1k.1":
 		return FamilyUniform, 1000, nil

@@ -18,7 +18,6 @@ type Instance struct {
 	Pts     []geom.Point
 
 	// BestKnown is the optimal (or best known) tour length, 0 when unknown.
-	// The experiment harness uses it as the success criterion when set.
 	BestKnown int64
 
 	// CacheLimit, when positive, overrides MaxCacheN as the city-count
