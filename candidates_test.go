@@ -36,10 +36,18 @@ func TestWithCandidatesValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SolveCLK(ex, WithCandidates("delaunay"), WithBudget(time.Second)); err == nil {
+	solve := func(opts ...Option) error {
+		s, err := New(ex, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = s.Solve(context.Background())
+		return err
+	}
+	if err := solve(WithCandidates("delaunay"), WithBudget(time.Second)); err == nil {
 		t.Error("delaunay on explicit instance: want Solve error")
 	}
-	if _, err := SolveCLK(ex, WithBudget(200*time.Millisecond)); err != nil {
+	if err := solve(WithBudget(200 * time.Millisecond)); err != nil {
 		t.Errorf("auto on explicit instance: %v", err)
 	}
 }
@@ -51,12 +59,16 @@ func TestWithCandidatesValidation(t *testing.T) {
 func TestAutoCandidatesDeterministic(t *testing.T) {
 	run := func() Tour {
 		in, _ := Generate("drill", 400, 11)
-		res, err := SolveCLK(in,
+		s, err := New(in,
 			WithCandidates("auto"),
 			WithMaxKicks(60),
 			WithBudget(time.Minute),
 			WithSeed(7),
 		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Solve(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,11 +109,15 @@ func TestCandidateStrategiesSolve(t *testing.T) {
 	}
 	// Distributed mode shares the same resolved lists across nodes.
 	in, _ := Generate("clustered", 120, 9)
-	res, err := SolveDistributed(in, 2,
+	s, err := New(in, WithNodes(2),
 		WithCandidates("quadrant"),
 		WithKicksPerCall(30),
 		WithBudget(2*time.Second),
 	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Solve(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

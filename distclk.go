@@ -7,8 +7,8 @@
 // linkern heuristic rebuilt in Go) by default, or the paper's distributed
 // evolutionary algorithm (WithNodes) in which cooperating nodes exchange
 // tours over a hypercube overlay. WithWorkers makes either mode multi-core:
-// concurrent kickers share the candidate tables and cooperate through a
-// lock-free best-tour slot with periodic elite-tour merging. Every solve is
+// concurrent kickers share the candidate tables and cooperate in
+// synchronous rounds with periodic elite-tour merging. Every solve is
 // context-driven: cancel the context or let its deadline fire and Solve
 // promptly returns the best tour found so far. Progress exposes periodic
 // snapshots of the running solve. Lower layers (the LK engine, kicking
@@ -272,13 +272,15 @@ func WithMaxKicks(k int64) Option {
 }
 
 // WithWorkers runs n concurrent kickers per solve (per node for
-// distributed solves). They share the read-only candidate tables, keep
-// private zero-allocation search state, publish improvements through a
-// lock-free best-tour slot, and periodically fuse elite tours (see
-// WithMergeEvery). n = 0 auto-sizes to GOMAXPROCS — plain CLK only, since
-// cooperating nodes time-share the machine. Negative n is rejected. The
-// default, n = 1, is the classic single kicker and stays byte-identical
-// for a given seed; n > 1 trades that determinism for throughput.
+// distributed solves). They share the read-only candidate tables and keep
+// private zero-allocation search state. They kick in synchronous rounds:
+// after each round, workers behind the round's best tour restart from it,
+// and elite tours are fused periodically (see WithMergeEvery). n = 0
+// auto-sizes to GOMAXPROCS — plain CLK only, since cooperating nodes
+// time-share the machine. Negative n is rejected. The default, n = 1, is
+// the classic single kicker. A kick-bounded solve (WithMaxKicks) returns
+// the same tour for a given seed and worker count, whatever the scheduler
+// does.
 func WithWorkers(n int) Option {
 	return func(o *options) error {
 		o.workersSet = true
@@ -296,8 +298,9 @@ func WithWorkers(n int) Option {
 }
 
 // WithMergeEvery sets the elite-merge cadence for parallel plain-CLK
-// solves: every k group-total kicks, a merge pass fuses the best published
-// tours with Lin-Kernighan restricted to the union of their edges (Cook &
+// solves: at the first round boundary after every k group-total kicks, a
+// merge pass fuses the best pooled tours with Lin-Kernighan restricted to
+// the union of their edges (Cook &
 // Seymour tour merging). Zero (the default) picks a cadence proportional
 // to instance size; negative k is rejected. Requires WithWorkers(n > 1) —
 // merging needs tours from at least two searchers — and plain CLK mode
@@ -790,40 +793,4 @@ func (s *Solver) solveCluster(ctx context.Context, nbr *neighbor.Lists, relax in
 		Nodes:      s.o.nodes,
 		Broadcasts: res.Broadcasts(),
 	}
-}
-
-// SolveCLK runs plain Chained Lin-Kernighan (the paper's ABCC-CLK
-// reference configuration). It is a frozen compatibility shim: exactly
-// New(in, opts...) followed by Solve with a background context, kept so
-// pre-Solver callers never break. It gains new options automatically but
-// will never grow parameters or behavior of its own.
-//
-// Deprecated: use New and (*Solver).Solve, which add cancellation and
-// progress reporting.
-func SolveCLK(in *Instance, opts ...Option) (Result, error) {
-	s, err := New(in, opts...)
-	if err != nil {
-		return Result{}, err
-	}
-	return s.Solve(context.Background())
-}
-
-// SolveDistributed runs the paper's distributed algorithm with the given
-// number of cooperating in-process nodes (the paper uses 8) under a
-// per-node budget. For multi-machine deployments use cmd/hub and
-// cmd/distclk instead. Like SolveCLK, it is a frozen compatibility shim:
-// exactly New(in, WithNodes(nodes), opts...) followed by Solve with a
-// background context, kept stable for pre-Solver callers.
-//
-// Deprecated: use New with WithNodes and (*Solver).Solve, which add
-// cancellation and progress reporting.
-func SolveDistributed(in *Instance, nodes int, opts ...Option) (Result, error) {
-	if nodes <= 0 {
-		return Result{}, fmt.Errorf("distclk: need at least one node, got %d", nodes)
-	}
-	s, err := New(in, append([]Option{WithNodes(nodes)}, opts...)...)
-	if err != nil {
-		return Result{}, err
-	}
-	return s.Solve(context.Background())
 }

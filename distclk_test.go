@@ -1,6 +1,7 @@
 package distclk
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -51,7 +52,11 @@ func TestSolveCLKFindsOptimum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := SolveCLK(in, WithTarget(opt), WithBudget(20*time.Second), WithSeed(3))
+	s, err := New(in, WithTarget(opt), WithBudget(20*time.Second), WithSeed(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Solve(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +74,11 @@ func TestSolveDistributedFindsOptimum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := SolveDistributed(in, 4, WithTarget(opt), WithBudget(20*time.Second))
+	s, err := New(in, WithNodes(4), WithTarget(opt), WithBudget(20*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Solve(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,19 +92,19 @@ func TestSolveDistributedFindsOptimum(t *testing.T) {
 
 func TestOptionsValidation(t *testing.T) {
 	in, _ := Generate("uniform", 30, 5)
-	if _, err := SolveCLK(in, WithKick("sideways")); err == nil {
+	if _, err := New(in, WithKick("sideways")); err == nil {
 		t.Error("bad kick accepted")
 	}
-	if _, err := SolveCLK(in, WithBudget(-time.Second)); err == nil {
+	if _, err := New(in, WithBudget(-time.Second)); err == nil {
 		t.Error("negative budget accepted")
 	}
-	if _, err := SolveDistributed(in, 0); err == nil {
+	if _, err := New(in, WithNodes(0)); err == nil {
 		t.Error("zero nodes accepted")
 	}
-	if _, err := SolveDistributed(in, 2, WithTopology("mesh")); err == nil {
+	if _, err := New(in, WithNodes(2), WithTopology("mesh")); err == nil {
 		t.Error("bad topology accepted")
 	}
-	if _, err := SolveDistributed(in, 2, WithEAParameters(0, 5)); err == nil {
+	if _, err := New(in, WithNodes(2), WithEAParameters(0, 5)); err == nil {
 		t.Error("bad EA parameters accepted")
 	}
 	if _, err := New(in, WithMaxKicks(-1)); err == nil {
@@ -103,9 +112,6 @@ func TestOptionsValidation(t *testing.T) {
 	}
 	if _, err := New(in, WithTarget(-5)); err == nil {
 		t.Error("negative target accepted")
-	}
-	if _, err := New(in, WithNodes(0)); err == nil {
-		t.Error("zero nodes accepted by WithNodes")
 	}
 	if _, err := New(in, WithProgressInterval(0)); err == nil {
 		t.Error("zero progress interval accepted")
@@ -116,7 +122,7 @@ func TestOptionsValidation(t *testing.T) {
 	if _, err := New(in, WithTourDiff(-1)); err == nil {
 		t.Error("negative keyframe interval accepted")
 	}
-	if _, err := SolveDistributed(in, 2, WithGossip(0)); err == nil {
+	if _, err := New(in, WithNodes(2), WithGossip(0)); err == nil {
 		t.Error("zero gossip fanout accepted")
 	}
 	if _, err := New(in, WithTourDiff(8)); err == nil {
@@ -132,7 +138,7 @@ func TestOptionsValidation(t *testing.T) {
 
 func TestAllOptionsApply(t *testing.T) {
 	in, _ := Generate("uniform", 40, 6)
-	res, err := SolveDistributed(in, 2,
+	s, err := New(in, WithNodes(2),
 		WithKick("geometric"),
 		WithKicksPerCall(50),
 		WithSeed(9),
@@ -144,6 +150,10 @@ func TestAllOptionsApply(t *testing.T) {
 		WithGossip(1),
 		WithBatching(),
 	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Solve(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -47,7 +48,11 @@ func main() {
 		"tour merging", tr.Length, gap(tr.Length), tr.Elapsed.Round(time.Millisecond),
 		tr.UnionEdges, tr.BaseBest)
 
-	dr, err := distclk.SolveDistributed(in, 8, distclk.WithBudget(3*time.Second))
+	ds, err := distclk.New(in, distclk.WithNodes(8), distclk.WithBudget(3*time.Second))
+	if err != nil {
+		log.Fatal(err)
+	}
+	dr, err := ds.Solve(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

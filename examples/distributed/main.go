@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -27,7 +28,12 @@ func main() {
 	const totalCPU = 10 * time.Second
 
 	fmt.Printf("plain CLK, %v budget...\n", totalCPU)
-	single, err := distclk.SolveCLK(in, distclk.WithBudget(totalCPU), distclk.WithSeed(5))
+	ctx := context.Background()
+	plain, err := distclk.New(in, distclk.WithBudget(totalCPU), distclk.WithSeed(5))
+	if err != nil {
+		log.Fatal(err)
+	}
+	single, err := plain.Solve(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -37,13 +43,18 @@ func main() {
 	fmt.Printf("DistCLK with 8 cooperating nodes, same total CPU...\n")
 	// c_v/c_r scaled from the paper's 64/256 to this compressed time scale
 	// so the variable-strength escalation engages (see EXPERIMENTS.md).
-	multi, err := distclk.SolveDistributed(in, 8,
+	cluster, err := distclk.New(in,
+		distclk.WithNodes(8),
 		distclk.WithBudget(totalCPU),
 		distclk.WithSeed(5),
 		distclk.WithTopology("hypercube"),
 		distclk.WithEAParameters(4, 16),
 		distclk.WithKicksPerCall(10),
 	)
+	if err != nil {
+		log.Fatal(err)
+	}
+	multi, err := cluster.Solve(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}

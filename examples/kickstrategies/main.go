@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -27,11 +28,15 @@ func main() {
 	fmt.Printf("Held-Karp lower bound: %d\n\n", hk.Bound)
 
 	for _, kick := range []string{"random", "geometric", "close", "random-walk"} {
-		res, err := distclk.SolveCLK(in,
+		s, err := distclk.New(in,
 			distclk.WithKick(kick),
 			distclk.WithBudget(3*time.Second),
 			distclk.WithSeed(3),
 		)
+		if err != nil {
+			log.Fatal(err)
+		}
+		res, err := s.Solve(context.Background())
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -23,10 +24,15 @@ func main() {
 	}
 	fmt.Printf("instance %s with %d cities\n\n", in.Name, in.N())
 
-	single, err := distclk.SolveCLK(in,
+	ctx := context.Background()
+	plain, err := distclk.New(in,
 		distclk.WithBudget(6*time.Second),
 		distclk.WithSeed(42),
 	)
+	if err != nil {
+		log.Fatal(err)
+	}
+	single, err := plain.Solve(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -35,12 +41,17 @@ func main() {
 	// The distributed algorithm gets the same total CPU: 8 nodes share the
 	// machine for the same wall-clock budget. c_v/c_r are scaled from the
 	// paper's 64/256 to the compressed time scale (see EXPERIMENTS.md).
-	multi, err := distclk.SolveDistributed(in, 8,
+	cluster, err := distclk.New(in,
+		distclk.WithNodes(8),
 		distclk.WithBudget(6*time.Second),
 		distclk.WithSeed(42),
 		distclk.WithEAParameters(4, 16),
 		distclk.WithKicksPerCall(10),
 	)
+	if err != nil {
+		log.Fatal(err)
+	}
+	multi, err := cluster.Solve(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}

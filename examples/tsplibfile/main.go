@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -45,7 +46,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := distclk.SolveCLK(in, distclk.WithBudget(2*time.Second))
+	s, err := distclk.New(in, distclk.WithBudget(2*time.Second))
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := s.Solve(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -304,24 +304,30 @@ func (s *Solver) kickOnce(stop func() bool) bool {
 func (s *Solver) Run(ctx context.Context, b Budget) Result {
 	//lint:ignore nodeterminism Elapsed is reporting-only; it never feeds back into the seeded search
 	start := time.Now()
-	startKicks := s.kicks
-	stop := cancelPoll(ctx)
-	var improves int64
-	for !b.expired(ctx, s.kicks-startKicks, s.bestLen) {
+	kicks, improves := s.chain(ctx, cancelPoll(ctx), b)
+	tour, l := s.Best()
+	return Result{
+		Tour:     tour,
+		Length:   l,
+		Kicks:    kicks,
+		Improves: improves,
+		//lint:ignore nodeterminism Elapsed is reporting-only; it never feeds back into the seeded search
+		Elapsed: time.Since(start),
+	}
+}
+
+// chain is Run's kick loop without the result copy; a Group round calls
+// it directly. It returns the kicks made and the strict improvements.
+//
+//distlint:hotpath
+func (s *Solver) chain(ctx context.Context, stop func() bool, b Budget) (kicks, improves int64) {
+	for ; !b.expired(ctx, kicks, s.bestLen); kicks++ {
 		if s.kickOnce(stop) {
 			improves++
 			s.Rec.LKImprove(s.bestLen)
 		}
 	}
-	tour, l := s.Best()
-	return Result{
-		Tour:     tour,
-		Length:   l,
-		Kicks:    s.kicks - startKicks,
-		Improves: improves,
-		//lint:ignore nodeterminism Elapsed is reporting-only; it never feeds back into the seeded search
-		Elapsed: time.Since(start),
-	}
+	return kicks, improves
 }
 
 // Perturb applies `count` double-bridge moves to the incumbent *without*
@@ -350,13 +356,18 @@ func (s *Solver) Perturb(count int) {
 func (s *Solver) RunPerturbed(ctx context.Context, b Budget) Result {
 	//lint:ignore nodeterminism Elapsed is reporting-only; it never feeds back into the seeded search
 	start := time.Now()
-	s.opt.Optimize(cancelPoll(ctx))
-	// Adopt the re-optimized perturbed tour as the chain incumbent even if
-	// worse than the previous one: the EA's SELECTBESTTOUR owns acceptance.
-	s.bestLen = s.opt.Length()
-	s.best.CopyFrom(s.opt.Tour)
+	s.adoptPerturbed(cancelPoll(ctx))
 	res := s.Run(ctx, b)
 	//lint:ignore nodeterminism Elapsed is reporting-only; it never feeds back into the seeded search
 	res.Elapsed = time.Since(start)
 	return res
+}
+
+// adoptPerturbed re-optimizes the perturbed working tour and adopts it as
+// the chain incumbent even if it is worse than the previous one: the EA's
+// SELECTBESTTOUR owns acceptance.
+func (s *Solver) adoptPerturbed(stop func() bool) {
+	s.opt.Optimize(stop)
+	s.bestLen = s.opt.Length()
+	s.best.CopyFrom(s.opt.Tour)
 }

@@ -5,20 +5,21 @@
 // Tables 3-5) and accept-if-not-worse chaining.
 //
 // A Group runs several Solvers concurrently over the shared candidate
-// table, cooperating through a lock-free best-tour slot and periodic
-// elite-tour merging (DESIGN.md §9).
+// table in synchronous rounds, with adoption of the round's best tour and
+// periodic elite-tour merging at the barriers (DESIGN.md §9).
 //
 // Invariants:
 //   - A Solver is a pure function of (instance, Params, seed): KickOnce
-//     sequences are deterministic and single-goroutine. A Group confines
-//     each Solver to one worker goroutine; cross-worker state is immutable
-//     once published. A one-worker Group reproduces Solver.Run byte for
-//     byte; with more workers, kick interleaving is schedule-dependent.
+//     sequences are deterministic and single-goroutine. A Group round
+//     confines each Solver to one goroutine; only the coordinator touches
+//     shared state, between rounds. A kick-bounded Group run is a pure
+//     function of (instance, Params, seed, workers), and a one-worker
+//     Group reproduces Solver.Run byte for byte.
 //   - BestLength never increases; KickOnce reports true only when it
 //     strictly improved the incumbent.
 //   - The kick loop is allocation-free after New (verified by allocation
-//     tests, including the Group worker step), so budgets measured in
-//     kicks are comparable across configurations.
+//     tests; a Group round adds a fixed count however long it is), so
+//     budgets measured in kicks are comparable across configurations.
 //
 //distlint:deterministic
 package clk

@@ -4,7 +4,6 @@ import (
 	"context"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"distclk/internal/lk"
@@ -18,62 +17,63 @@ import (
 // to a plain Solver Run with the same seed.
 const workerSeedSalt = 104_729
 
+// eliteK bounds the elite pool: a merge pass fuses the best eliteK
+// distinct-length tours seen at round barriers.
+const eliteK = 5
+
+// KicksPerRound is the default number of kicks a worker chains per round
+// on an n-city instance, max(20, n/10): enough to amortize the barrier,
+// scaling work with instance size. The distributed EA's KicksPerCall
+// default is the same rule.
+func KicksPerRound(n int) int64 { return max(20, int64(n/10)) }
+
 // GroupParams configures a parallel CLK group. The zero value asks for
 // GOMAXPROCS workers with default merge cadence.
 type GroupParams struct {
 	// Workers is the number of concurrent kickers (<= 0 means GOMAXPROCS).
 	Workers int
-	// MergeEvery triggers an elite merge pass every MergeEvery group-total
-	// kicks. 0 picks a default proportional to instance size; negative
-	// disables merging. Merging is also skipped when Workers == 1 — fusing
-	// needs tours from at least two searchers, and skipping it keeps the
-	// one-worker group deterministic.
+	// MergeEvery runs an elite merge pass at the first round boundary
+	// after every MergeEvery group-total kicks. 0 picks a default
+	// proportional to instance size; negative disables merging. One worker
+	// never merges: fusing needs tours from at least two searchers.
 	MergeEvery int64
-	// EliteK bounds the elite pool (default 5): the tours fused by a merge
-	// pass are the best EliteK distinct-length tours published so far.
-	EliteK int
-	// MergeLK tunes the restricted LK run over the elite union graph
-	// (default: the deep parameters tour merging uses, depth 60).
-	MergeLK lk.Params
 }
 
-// elite is an immutable published tour: once stored in the group's slot or
-// pool it is never mutated, so readers need no locks — the atomic pointer
-// publication establishes the happens-before edge.
+// elite is a tour kept for merging; it is never mutated once pooled.
 type elite struct {
 	tour   tsp.Tour
 	length int64
-	// gen is the slot generation: it increments on every publication, so a
-	// worker comparing gen against the last value it saw knows whether the
-	// global best moved since its last look.
-	gen uint64
-	// wid is the publishing worker, or -1 for the merge goroutine.
-	wid int
 }
 
-// elitePool keeps the best EliteK distinct-length published tours, ordered
-// ascending by length. Distinct lengths double as a cheap tour-diversity
-// filter: fusing byte-identical tours adds nothing to the union graph.
+// elitePool keeps the best limit distinct-length tours seen at round
+// barriers, ordered ascending by length. Distinct lengths double as a
+// cheap tour-diversity filter: fusing identical tours adds nothing to the
+// union graph. Only the coordinator touches it, between rounds.
 type elitePool struct {
-	mu     sync.Mutex
 	limit  int
-	elites []*elite
+	elites []elite
 }
 
-func (p *elitePool) offer(e *elite) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+// slot returns where a tour of this length belongs, or -1 when the pool
+// would not keep it (a length already pooled, or not among the best
+// limit), so callers copy a tour only when it will be kept.
+func (p *elitePool) slot(length int64) int {
 	i := 0
-	for i < len(p.elites) && p.elites[i].length < e.length {
+	for i < len(p.elites) && p.elites[i].length < length {
 		i++
 	}
-	if i < len(p.elites) && p.elites[i].length == e.length {
+	if i >= p.limit || (i < len(p.elites) && p.elites[i].length == length) {
+		return -1
+	}
+	return i
+}
+
+func (p *elitePool) offer(e elite) {
+	i := p.slot(e.length)
+	if i < 0 {
 		return
 	}
-	if i >= p.limit {
-		return
-	}
-	p.elites = append(p.elites, nil)
+	p.elites = append(p.elites, elite{})
 	copy(p.elites[i+1:], p.elites[i:])
 	p.elites[i] = e
 	if len(p.elites) > p.limit {
@@ -81,40 +81,32 @@ func (p *elitePool) offer(e *elite) {
 	}
 }
 
-func (p *elitePool) snapshot() []*elite {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]*elite, len(p.elites))
-	copy(out, p.elites)
-	return out
+// tally is one worker's share of a round: the kicks it may make, and the
+// kicks and strict improvements it made.
+type tally struct {
+	quota, kicks, improves int64
 }
 
-// worker is one concurrent kicker: a full Solver (own RNG, own LK scratch,
-// own incumbent) chained to the group through the shared best-tour slot.
-type worker struct {
-	id      int
-	g       *Group
-	s       *Solver
-	lastGen uint64
-}
-
-// Group runs Workers concurrent CLK searchers over one instance. They share
-// the read-only CSR candidate table; everything mutable is per-worker.
-// Improvements flow through a lock-free slot (atomic pointer + generation
-// counter); stale workers restart from the global best; a merge goroutine
-// periodically fuses the elite pool with union-graph restricted LK.
+// Group runs Workers CLK searchers over one instance in synchronous
+// rounds. They share the read-only CSR candidate table; everything mutable
+// is per-worker. In a round every worker chains kicks from its own
+// incumbent with its own seeded stream. A barrier closes the round; the
+// winner is the lowest length, ties going to the lowest worker index.
+// Between rounds the coordinator pools elite tours, runs a due merge, and
+// restarts every worker strictly behind the best tour from it. Nothing
+// depends on completion order, so a kick-bounded run is a function of the
+// seed and the worker count alone, whatever the scheduler does.
 //
-// A Group is single-use: build, optionally SetRecorder, Run once.
+// A Group is built once; Run is single-use, RunPerturbed may repeat.
 type Group struct {
-	inst    *tsp.Instance
-	gp      GroupParams
-	workers []*worker
+	inst       *tsp.Instance
+	mergeEvery int64 // 0 = never
+	workers    []*Solver
+	tallies    []tally
 
-	slot     atomic.Pointer[elite]
-	kicks    atomic.Int64
-	improves atomic.Int64
-	merges   atomic.Int64
-	mergeReq chan struct{}
+	kicks    int64
+	improves int64
+	merges   int64
 	pool     elitePool
 }
 
@@ -124,42 +116,41 @@ type Group struct {
 // called). Candidate lists are built once and shared; pass p.Neighbors to
 // share them wider still (e.g. across benchmark configs).
 func NewGroup(ctx context.Context, inst *tsp.Instance, p Params, gp GroupParams, seed int64) *Group {
-	stop := cancelPoll(ctx)
+	return newGroup(inst, p, gp, seed, cancelPoll(ctx))
+}
+
+// BuildGroup is NewGroup without cancellation, for constructors that take
+// no context (core.NewNode), as New is for a single Solver.
+func BuildGroup(inst *tsp.Instance, p Params, gp GroupParams, seed int64) *Group {
+	return newGroup(inst, p, gp, seed, nil)
+}
+
+func newGroup(inst *tsp.Instance, p Params, gp GroupParams, seed int64, stop func() bool) *Group {
 	p = p.normalize()
 	p.Neighbors = resolveNeighbors(nil, inst, p)
 	if gp.Workers <= 0 {
 		gp.Workers = runtime.GOMAXPROCS(0)
 	}
-	if gp.EliteK <= 0 {
-		gp.EliteK = 5
-	}
 	if gp.MergeEvery == 0 {
 		// Default cadence: merge work stays a small fraction of kick work.
 		gp.MergeEvery = int64(8 * inst.N())
 	}
-	if gp.MergeEvery < 0 {
-		gp.MergeEvery = 0 // disabled
-	}
-	if gp.MergeLK.MaxDepth == 0 {
-		gp.MergeLK = lk.Params{MaxDepth: 60, Breadth: []int{10, 6, 4, 2}}
+	if gp.MergeEvery < 0 || gp.Workers == 1 {
+		gp.MergeEvery = 0
 	}
 	g := &Group{
-		inst:     inst,
-		gp:       gp,
-		workers:  make([]*worker, gp.Workers),
-		mergeReq: make(chan struct{}, 1),
-		pool:     elitePool{limit: gp.EliteK},
+		inst:       inst,
+		mergeEvery: gp.MergeEvery,
+		workers:    make([]*Solver, gp.Workers),
+		tallies:    make([]tally, gp.Workers),
+		pool:       elitePool{limit: eliteK},
 	}
 	var wg sync.WaitGroup
 	for i := range g.workers {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			g.workers[i] = &worker{
-				id: i,
-				g:  g,
-				s:  newSolver(nil, inst, p, seed+int64(i)*workerSeedSalt, stop),
-			}
+			g.workers[i] = newSolver(nil, inst, p, seed+int64(i)*workerSeedSalt, stop)
 		}(i)
 	}
 	wg.Wait()
@@ -169,227 +160,208 @@ func NewGroup(ctx context.Context, inst *tsp.Instance, p Params, gp GroupParams,
 // Workers returns the resolved worker count.
 func (g *Group) Workers() int { return len(g.workers) }
 
+// Worker returns worker i's solver, for callers that steer incumbents
+// between rounds (the distributed EA re-roots workers at its node best).
+func (g *Group) Worker(i int) *Solver { return g.workers[i] }
+
 // SetRecorder attaches a recorder to worker i and publishes its initial
 // incumbent length, mirroring what the facade does for a plain Solver.
 func (g *Group) SetRecorder(i int, rec *obs.Recorder) {
-	g.workers[i].s.Rec = rec
-	rec.SetBest(g.workers[i].s.BestLength())
+	g.workers[i].Rec = rec
+	rec.SetBest(g.workers[i].BestLength())
 }
 
 // Merges returns how many elite merge passes completed.
-func (g *Group) Merges() int64 { return g.merges.Load() }
+func (g *Group) Merges() int64 { return g.merges }
 
 // Kicks returns the group-total kick count.
-func (g *Group) Kicks() int64 { return g.kicks.Load() }
+func (g *Group) Kicks() int64 { return g.kicks }
 
-// BestLength returns the published global best length (the slot's), or the
-// best initial incumbent before Run seeds the slot.
-func (g *Group) BestLength() int64 {
-	if cur := g.slot.Load(); cur != nil {
-		return cur.length
-	}
-	return g.bestWorker().s.BestLength()
-}
+// BestLength returns the best worker incumbent's length.
+func (g *Group) BestLength() int64 { return g.workers[g.best()].bestLen }
 
-func (g *Group) bestWorker() *worker {
-	best := g.workers[0]
-	for _, w := range g.workers[1:] {
-		if w.s.bestLen < best.s.bestLen {
-			best = w
+// best returns the index of the best worker: lowest incumbent length, ties
+// to the lowest index.
+func (g *Group) best() int {
+	w := 0
+	for i, s := range g.workers {
+		if s.bestLen < g.workers[w].bestLen {
+			w = i
 		}
 	}
-	return best
+	return w
 }
 
-// Run chains kicks on all workers until the budget expires or ctx is done.
-// The budget is group-scoped: MaxKicks counts kicks across all workers
-// (each worker checks before kicking, so the total overshoots by at most
-// Workers-1), and Target stops everyone once the shared best reaches it.
+// Run chains rounds of KicksPerRound kicks per worker until the budget
+// expires or ctx is done. The budget is group-scoped: MaxKicks is an exact
+// group total (the last round splits what is left evenly, remainder to the
+// lowest indices), and Target stops everyone once a worker reaches it.
 //
-// With one worker the result is byte-identical to Solver.Run under the
-// same seed; with more, kick interleaving makes results schedule-dependent
-// (see DESIGN.md §9).
+// With one worker the rounds run inline and the result is byte-identical
+// to Solver.Run under the same seed. With more, a kick-bounded run is still
+// a function of the seed and the worker count alone (see DESIGN.md §9).
 func (g *Group) Run(ctx context.Context, b Budget) Result {
 	//lint:ignore nodeterminism Elapsed is reporting-only; it never feeds back into the seeded search
 	start := time.Now()
-	// Seed the shared slot with the best initial incumbent. Worker lastGen
-	// starts at 0, so everyone observes generation 1 on their first step and
-	// the losers of the construction race restart from the winner's tour.
-	bw := g.bestWorker()
-	t0, l0 := bw.s.Best()
-	first := &elite{tour: t0, length: l0, gen: 1, wid: bw.id}
-	g.slot.Store(first)
-	g.pool.offer(first)
-
-	mctx, mcancel := context.WithCancel(ctx)
-	defer mcancel()
-	var mwg sync.WaitGroup
-	if len(g.workers) > 1 && g.gp.MergeEvery > 0 {
-		mwg.Add(1)
-		go func() {
-			defer mwg.Done()
-			g.mergeLoop(mctx)
-		}()
+	// The construction winner seeds the first round: workers behind it
+	// restart from its tour before kicking.
+	g.barrier(ctx, g.best(), false)
+	k := KicksPerRound(g.inst.N())
+	nextMerge := g.mergeEvery
+	for !b.expired(ctx, g.kicks, g.BestLength()) {
+		g.share(k, b.MaxKicks)
+		w := g.round(ctx, b.Target, false)
+		merge := g.mergeEvery > 0 && g.kicks >= nextMerge
+		if merge {
+			nextMerge = (g.kicks/g.mergeEvery + 1) * g.mergeEvery
+		}
+		g.barrier(ctx, w, merge)
 	}
-
-	var wg sync.WaitGroup
-	for _, w := range g.workers {
-		wg.Add(1)
-		go func(w *worker) {
-			defer wg.Done()
-			w.run(ctx, b)
-		}(w)
-	}
-	wg.Wait()
-	mcancel()
-	mwg.Wait()
-
-	// Prefer the best worker incumbent: ties accepted after the last strict
-	// improvement live there, not in the slot, and for one worker that is
-	// exactly what Solver.Run would return. A merged tour can still win.
-	bw = g.bestWorker()
-	tour, length := bw.s.Best()
-	if cur := g.slot.Load(); cur != nil && cur.length < length {
-		tour, length = cur.tour.Clone(), cur.length
-	}
+	tour, length := g.workers[g.best()].Best()
 	return Result{
 		Tour:     tour,
 		Length:   length,
-		Kicks:    g.kicks.Load(),
-		Improves: g.improves.Load(),
+		Kicks:    g.kicks,
+		Improves: g.improves,
 		//lint:ignore nodeterminism Elapsed is reporting-only; it never feeds back into the seeded search
 		Elapsed: time.Since(start),
 	}
 }
 
-// run is one worker's loop: observe the slot, kick, repeat.
-func (w *worker) run(ctx context.Context, b Budget) {
+// RunPerturbed runs one round for the distributed EA: worker 0
+// re-optimizes its perturbed working tour and chains from it, as
+// Solver.RunPerturbed does, while every other worker chains from its own
+// incumbent; each makes b.MaxKicks (> 0) kicks. It returns the winner's
+// tour with the round's summed kicks and improvements, and leaves Elapsed
+// unset: the EA keeps its own clock. Re-rooting workers between rounds is
+// the caller's. With one worker this is Solver.RunPerturbed.
+func (g *Group) RunPerturbed(ctx context.Context, b Budget) Result {
+	kicks, improves := g.kicks, g.improves
+	for i := range g.tallies {
+		g.tallies[i].quota = b.MaxKicks
+	}
+	tour, length := g.workers[g.round(ctx, b.Target, true)].Best()
+	return Result{
+		Tour:     tour,
+		Length:   length,
+		Kicks:    g.kicks - kicks,
+		Improves: g.improves - improves,
+	}
+}
+
+// share sets the round's quotas: k kicks per worker, or, when less than a
+// full round is left of a positive group total, an even split of the rest
+// with the remainder going to the lowest indices.
+func (g *Group) share(k, total int64) {
+	w := int64(len(g.workers))
+	left := total - g.kicks
+	for i := range g.tallies {
+		q := k
+		if total > 0 && left < k*w {
+			q = left / w
+			if int64(i) < left%w {
+				q++
+			}
+		}
+		g.tallies[i].quota = q
+	}
+}
+
+// round runs one round on the tallies' quotas, worker 0 on the calling
+// goroutine and the others on their own, and returns the winner after the
+// barrier. perturbed makes worker 0 adopt its perturbed working tour first.
+func (g *Group) round(ctx context.Context, target int64, perturbed bool) int {
+	if len(g.workers) == 1 {
+		g.runWorker(ctx, 0, target, perturbed)
+	} else {
+		var wg sync.WaitGroup
+		for i := 1; i < len(g.workers); i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				g.runWorker(ctx, i, target, false)
+			}(i)
+		}
+		g.runWorker(ctx, 0, target, perturbed)
+		wg.Wait()
+	}
+	for _, t := range g.tallies {
+		g.kicks += t.kicks
+		g.improves += t.improves
+	}
+	return g.best()
+}
+
+// runWorker is worker i's part of a round. It writes only tallies[i] and
+// worker i's own solver.
+func (g *Group) runWorker(ctx context.Context, i int, target int64, perturbed bool) {
+	s, t := g.workers[i], &g.tallies[i]
 	stop := cancelPoll(ctx)
-	g := w.g
-	for {
-		cur := g.slot.Load()
-		if b.expired(ctx, g.kicks.Load(), cur.length) {
-			return
-		}
-		w.step(cur, stop)
+	if perturbed {
+		s.adoptPerturbed(stop)
+	}
+	t.kicks, t.improves = 0, 0
+	if t.quota > 0 {
+		t.kicks, t.improves = s.chain(ctx, stop, Budget{MaxKicks: t.quota, Target: target})
 	}
 }
 
-// step is the steady-state worker iteration: adopt the global best if it
-// moved and beats our incumbent, kick once, publish on improvement, and
-// request a merge on cadence. Everything on the happy path is allocation-
-// free; publication and adoption (rare) pay for their copies off-path.
-//
-//distlint:hotpath
-func (w *worker) step(cur *elite, stop func() bool) {
-	if cur.gen != w.lastGen {
-		w.lastGen = cur.gen
-		if cur.length < w.s.bestLen {
-			w.adopt(cur)
+// barrier closes a round won by worker w: it offers every worker's
+// incumbent to the elite pool, runs the merge pass when due, and restarts
+// every worker strictly behind the best tour from it. Merge and adopt
+// events are recorded in worker-index order.
+func (g *Group) barrier(ctx context.Context, w int, merge bool) {
+	if len(g.workers) == 1 {
+		return // nothing to fuse or adopt; the pool's copies would be waste
+	}
+	for _, s := range g.workers {
+		if g.pool.slot(s.bestLen) >= 0 {
+			t, l := s.Best()
+			g.pool.offer(elite{t, l})
 		}
 	}
-	if w.s.kickOnce(stop) {
-		w.g.improves.Add(1)
-		w.s.Rec.LKImprove(w.s.bestLen)
-		w.publishBest()
-	}
-	k := w.g.kicks.Add(1)
-	if w.g.gp.MergeEvery > 0 && k%w.g.gp.MergeEvery == 0 {
-		w.g.requestMerge()
-	}
-}
-
-// adopt restarts this worker's chain from the published global best.
-func (w *worker) adopt(cur *elite) {
-	w.s.SetTour(cur.tour)
-	w.s.Rec.Adopted(cur.length, cur.wid)
-}
-
-// publishBest offers this worker's incumbent to the shared slot if it is a
-// strict global improvement. The cheap length check runs before the O(n)
-// tour copy so losing the race costs nothing.
-func (w *worker) publishBest() {
-	length := w.s.bestLen
-	if cur := w.g.slot.Load(); cur != nil && length >= cur.length {
-		return
-	}
-	tour, _ := w.s.Best()
-	if e := w.g.publish(tour, length, w.id); e != nil {
-		w.lastGen = e.gen
-	}
-}
-
-// publish CASes a new elite into the slot iff it strictly improves on the
-// current one, and offers it to the elite pool. Returns nil if a better
-// tour won the race.
-func (g *Group) publish(tour tsp.Tour, length int64, wid int) *elite {
-	for {
-		cur := g.slot.Load()
-		if cur != nil && length >= cur.length {
-			return nil
-		}
-		var gen uint64 = 1
-		if cur != nil {
-			gen = cur.gen + 1
-		}
-		e := &elite{tour: tour, length: length, gen: gen, wid: wid}
-		if g.slot.CompareAndSwap(cur, e) {
-			g.pool.offer(e)
-			return e
+	var tour tsp.Tour
+	length, from := g.workers[w].bestLen, w
+	if merge {
+		if t, l, ok := g.mergeOnce(ctx, w); ok && l < length {
+			tour, length, from = t, l, -1
+			g.pool.offer(elite{t, l})
 		}
 	}
-}
-
-// requestMerge nudges the merge goroutine; a pass already pending or
-// running absorbs the request.
-func (g *Group) requestMerge() {
-	select {
-	case g.mergeReq <- struct{}{}:
-	default:
-	}
-}
-
-// mergeLoop serves merge requests until ctx is cancelled (Run cancels it
-// once all workers stop).
-func (g *Group) mergeLoop(ctx context.Context) {
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-g.mergeReq:
-			g.mergeOnce(ctx)
+	for _, s := range g.workers {
+		if s.bestLen <= length {
+			continue
 		}
+		if tour == nil {
+			tour, _ = g.workers[w].Best()
+		}
+		s.SetTour(tour)
+		s.Rec.Adopted(length, from)
 	}
 }
 
 // mergeOnce fuses the elite pool: restricted LK over the union graph of
-// the elite tours, started from the global best. A strictly better fused
-// tour is published like any worker improvement (wid -1). Events land on
-// worker 0's recorder.
-func (g *Group) mergeOnce(ctx context.Context) {
-	elites := g.pool.snapshot()
-	if len(elites) < 2 {
-		return
+// the elite tours, started from worker w's incumbent. It records the pass
+// on worker 0's recorder and returns the fused tour.
+func (g *Group) mergeOnce(ctx context.Context, w int) (tsp.Tour, int64, bool) {
+	if len(g.pool.elites) < 2 {
+		return nil, 0, false
 	}
-	cur := g.slot.Load()
-	tours := make([]tsp.Tour, len(elites))
-	for i, e := range elites {
+	tours := make([]tsp.Tour, len(g.pool.elites))
+	for i, e := range g.pool.elites {
 		tours[i] = e.tour
 	}
-	adj := neighbor.UnionOfTours(g.inst.N(), tours)
-	cand, err := neighbor.FromEdges(g.inst, adj)
+	cand, err := neighbor.FromEdges(g.inst, neighbor.UnionOfTours(g.inst.N(), tours))
 	if err != nil {
 		// Union graphs of valid tours cannot produce bad edges; skip the
 		// merge rather than corrupt the incumbent if that invariant breaks.
-		return
+		return nil, 0, false
 	}
-	opt := lk.NewOptimizer(g.inst, cand, cur.tour, g.gp.MergeLK)
+	start, _ := g.workers[w].Best()
+	// The deep parameters tour merging uses: the union graph is sparse.
+	opt := lk.NewOptimizer(g.inst, cand, start, lk.Params{MaxDepth: 60, Breadth: []int{10, 6, 4, 2}})
 	opt.OptimizeAll(cancelPoll(ctx))
-	length := opt.Length()
-	g.merges.Add(1)
-	g.workers[0].s.Rec.Merged(length)
-	if length >= cur.length {
-		return
-	}
-	g.publish(opt.Tour.Tour(), length, -1)
+	g.merges++
+	g.workers[0].Rec.Merged(opt.Length())
+	return opt.Tour.Tour(), opt.Length(), true
 }

@@ -2,6 +2,7 @@ package clk
 
 import (
 	"context"
+	"strconv"
 	"testing"
 	"time"
 
@@ -38,9 +39,8 @@ func TestGroupOneWorkerMatchesSolverRun(t *testing.T) {
 }
 
 // TestGroupRunMultiWorker checks the cooperative path end to end: all
-// workers kick, the group total respects the budget (overshoot bounded by
-// the worker count), and the returned tour is valid and no worse than the
-// published best.
+// workers kick, the group total respects the budget (MaxKicks is exact),
+// and the returned tour is valid and no worse than the best incumbent.
 func TestGroupRunMultiWorker(t *testing.T) {
 	in := tsp.Generate(tsp.FamilyClustered, 400, 7)
 	g := NewGroup(context.Background(), in, DefaultParams(), GroupParams{Workers: 4, MergeEvery: 100}, 3)
@@ -55,12 +55,12 @@ func TestGroupRunMultiWorker(t *testing.T) {
 		t.Fatalf("reported length %d != recomputed %d", res.Length, res.Tour.Length(in))
 	}
 	if best := g.BestLength(); res.Length > best {
-		t.Fatalf("result length %d worse than published best %d", res.Length, best)
+		t.Fatalf("result length %d worse than the best incumbent %d", res.Length, best)
 	}
 }
 
-// TestGroupCancellation checks that cancelling the context stops all
-// workers and the merge goroutine promptly.
+// TestGroupCancellation checks that cancelling the context stops every
+// worker's round promptly.
 func TestGroupCancellation(t *testing.T) {
 	in := tsp.Generate(tsp.FamilyUniform, 1000, 5)
 	g := NewGroup(context.Background(), in, DefaultParams(), GroupParams{Workers: 4, MergeEvery: 50}, 9)
@@ -81,49 +81,85 @@ func TestGroupCancellation(t *testing.T) {
 	}
 }
 
-// TestWorkerStepZeroAlloc pins the per-worker steady-state allocation
-// contract: with the shared slot unchanged (gen matches) and unbeatable
-// (length 1 blocks publication), a worker step must not allocate.
-func TestWorkerStepZeroAlloc(t *testing.T) {
-	in := tsp.Generate(tsp.FamilyUniform, 400, 3)
-	g := NewGroup(context.Background(), in, DefaultParams(), GroupParams{Workers: 2}, 5)
-	for _, w := range g.workers {
-		w := w
-		// An unbeatable published tour: adopt never fires (gen matches) and
-		// publishBest bails before the tour copy (length >= 1 always).
-		g.slot.Store(&elite{length: 1, gen: 42})
-		w.lastGen = 42
-		cur := g.slot.Load()
-		for i := 0; i < 30; i++ {
-			w.step(cur, nil) // reach steady state
+// TestGroupReplay pins the round rule's determinism contract: under a
+// MaxKicks budget, two runs with the same seed return the same tour,
+// length and kick count at every worker count, merges included, and one
+// worker reproduces Solver.Run element by element.
+func TestGroupReplay(t *testing.T) {
+	in := tsp.Generate(tsp.FamilyClustered, 200, 19)
+	b := Budget{MaxKicks: 500}
+	run := func(workers int) Result {
+		g := NewGroup(context.Background(), in, DefaultParams(), GroupParams{Workers: workers, MergeEvery: 100}, 23)
+		return g.Run(context.Background(), b)
+	}
+	sameTour := func(t *testing.T, a, b Result) {
+		t.Helper()
+		if a.Length != b.Length || a.Kicks != b.Kicks || len(a.Tour) != len(b.Tour) {
+			t.Fatalf("runs differ: length %d/%d, kicks %d/%d", a.Length, b.Length, a.Kicks, b.Kicks)
 		}
-		if allocs := testing.AllocsPerRun(200, func() { w.step(cur, nil) }); allocs != 0 {
-			t.Errorf("worker %d step allocates %.1f objects per kick in steady state, want 0", w.id, allocs)
+		for i := range a.Tour {
+			if a.Tour[i] != b.Tour[i] {
+				t.Fatalf("tours diverge at position %d: %d vs %d", i, a.Tour[i], b.Tour[i])
+			}
+		}
+	}
+	for _, w := range []int{1, 2, 4} {
+		t.Run("w"+strconv.Itoa(w), func(t *testing.T) {
+			a, b2 := run(w), run(w)
+			if a.Kicks != b.MaxKicks {
+				t.Fatalf("group kicks = %d, want exactly %d", a.Kicks, b.MaxKicks)
+			}
+			sameTour(t, a, b2)
+			if w == 1 {
+				sameTour(t, a, New(in, DefaultParams(), 23).Run(context.Background(), b))
+			}
+		})
+	}
+}
+
+// TestRoundAllocsIndependentOfK pins the round's allocation contract: a
+// round without adoption or merge costs a fixed number of allocations, so
+// a round of 100 kicks allocates exactly as much as a round of 10 — the
+// kick loop inside stays allocation-free.
+func TestRoundAllocsIndependentOfK(t *testing.T) {
+	in := tsp.Generate(tsp.FamilyUniform, 100, 3)
+	for _, workers := range []int{1, 2} {
+		g := NewGroup(context.Background(), in, DefaultParams(), GroupParams{Workers: workers}, 5)
+		allocs := func(k int64) float64 {
+			g.share(k, 0)
+			// AllocsPerRun's own warm-up round reaches steady state.
+			return testing.AllocsPerRun(2, func() { g.round(context.Background(), 0, false) })
+		}
+		if a10, a100 := allocs(10), allocs(100); a10 != a100 {
+			t.Errorf("%d workers: a round allocates %.1f objects at K=10 but %.1f at K=100", workers, a10, a100)
 		}
 	}
 }
 
 // TestGroupMergeFusesElites drives a merge pass directly: after a short
-// cooperative run has populated the elite pool, mergeOnce must complete,
-// count itself, and leave the published best no worse than before.
+// cooperative run has filled the elite pool, a merging barrier must
+// complete, count itself, leave the best no worse, and bring every worker
+// to at least the fused tour.
 func TestGroupMergeFusesElites(t *testing.T) {
 	in := tsp.Generate(tsp.FamilyClustered, 500, 13)
 	g := NewGroup(context.Background(), in, DefaultParams(), GroupParams{Workers: 3, MergeEvery: -1}, 21)
 	g.Run(context.Background(), Budget{MaxKicks: 900})
-	if len(g.pool.snapshot()) < 2 {
-		t.Skip("run published fewer than 2 distinct elites; nothing to fuse")
+	if len(g.pool.elites) < 2 {
+		t.Skip("run pooled fewer than 2 distinct elites; nothing to fuse")
 	}
-	before := g.slot.Load().length
-	g.mergeOnce(context.Background())
+	before := g.BestLength()
+	g.barrier(context.Background(), g.best(), true)
 	if g.Merges() != 1 {
 		t.Fatalf("merges = %d, want 1", g.Merges())
 	}
-	after := g.slot.Load().length
+	after := g.BestLength()
 	if after > before {
-		t.Fatalf("merge worsened the published best: %d -> %d", before, after)
+		t.Fatalf("merge worsened the best: %d -> %d", before, after)
 	}
-	if cur := g.slot.Load(); cur.length < before && cur.wid != -1 {
-		t.Fatalf("improving merge published wid %d, want -1", cur.wid)
+	for i, s := range g.workers {
+		if s.BestLength() != after {
+			t.Fatalf("worker %d at %d after the barrier, want the best %d", i, s.BestLength(), after)
+		}
 	}
 }
 
@@ -131,16 +167,19 @@ func TestGroupMergeFusesElites(t *testing.T) {
 func TestElitePool(t *testing.T) {
 	p := elitePool{limit: 3}
 	for _, l := range []int64{50, 30, 40, 30, 60, 20} {
-		p.offer(&elite{length: l})
+		p.offer(elite{length: l})
 	}
-	got := p.snapshot()
 	want := []int64{20, 30, 40}
-	if len(got) != len(want) {
-		t.Fatalf("pool kept %d elites, want %d", len(got), len(want))
+	if len(p.elites) != len(want) {
+		t.Fatalf("pool kept %d elites, want %d", len(p.elites), len(want))
 	}
-	for i, e := range got {
+	for i, e := range p.elites {
 		if e.length != want[i] {
 			t.Fatalf("pool[%d] = %d, want %d", i, e.length, want[i])
 		}
+	}
+	if p.slot(40) != -1 || p.slot(45) != -1 || p.slot(25) != 1 {
+		t.Fatalf("slot rejects pooled and too-long lengths and places new ones: got %d %d %d",
+			p.slot(40), p.slot(45), p.slot(25))
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"sync"
 	"time"
 
 	"distclk/internal/clk"
@@ -20,8 +19,9 @@ type Config struct {
 	// CR is the restart threshold: when NumNoImprovements exceeds it, the
 	// incumbent is discarded and a fresh initial tour is constructed.
 	CR int
-	// KicksPerCall bounds the embedded CLK run in each EA iteration
-	// (<= 0 selects max(20, n/10), scaling work with instance size).
+	// KicksPerCall bounds the embedded CLK run in each EA iteration, per
+	// worker (<= 0 selects clk.KicksPerRound: max(20, n/10), scaling work
+	// with instance size).
 	KicksPerCall int64
 	// CLK configures the underlying Chained Lin-Kernighan solver.
 	CLK clk.Params
@@ -32,14 +32,15 @@ type Config struct {
 	// DisablePerturbation turns PERTURBATE into the identity, for the
 	// paper's "running without DBMs" ablation (§4.2).
 	DisablePerturbation bool
-	// Workers is the number of concurrent in-node CLK searchers backing
-	// each EA iteration (<= 1 = the classic single kicker). Extra workers
-	// chain kicks from their own incumbents while the primary runs the
-	// perturbed chain; the best result wins the iteration. Each worker
-	// charges virtual CPU in stepping drivers (see Node.CostFactor), so
-	// simnet budgets stay comparable; with Workers > 1 the iteration
-	// *content* becomes schedule-dependent, so simnet replay determinism
-	// holds only for Workers <= 1.
+	// Workers is the number of in-node CLK searchers backing each EA
+	// iteration (<= 1 = the classic single kicker). Each iteration is one
+	// clk.Group round: worker 0 runs the perturbed chain, the others chain
+	// from their own incumbents (re-rooted at the node best when strictly
+	// behind it), and the shortest result wins, ties to the lowest worker
+	// index. The round does not depend on completion order, so simnet
+	// replays byte-identically at any worker count. Each worker charges
+	// virtual CPU in stepping drivers (see Node.CostFactor), so simnet
+	// budgets stay comparable.
 	Workers int
 }
 
@@ -102,22 +103,14 @@ type Stats struct {
 	Elapsed    time.Duration
 }
 
-// extraSeedSalt decorrelates in-node worker seeds from the per-node seeds
-// (Seed + i*1e9+7 in dist.RunCluster) and from clk.Group's worker salt.
-const extraSeedSalt = 15_485_863
-
 // Node is one EA participant: a CLK solver plus the Figure 1 control loop.
 type Node struct {
 	ID     int
 	cfg    Config
-	solver *clk.Solver
+	group  *clk.Group  // the in-node workers
+	solver *clk.Solver // worker 0: the node's perturbed chain
 	comm   Comm
 	rec    *obs.Recorder
-
-	// extras are the additional in-node workers (Config.Workers - 1 of
-	// them); extraRes is their preallocated per-iteration result buffer.
-	extras   []*clk.Solver
-	extraRes []clk.Result
 
 	sBest    tsp.Tour
 	sBestLen int64
@@ -133,8 +126,9 @@ type Node struct {
 	start time.Time
 }
 
-// NewNode builds a node over a fresh CLK solver. seed must differ across
-// nodes so their searches diverge.
+// NewNode builds a node over a fresh CLK group of max(1, cfg.Workers)
+// workers; worker 0 gets seed itself. seed must differ across nodes so
+// their searches diverge.
 func NewNode(id int, inst *tsp.Instance, cfg Config, comm Comm, seed int64) *Node {
 	if cfg.CV <= 0 {
 		cfg.CV = 64
@@ -143,28 +137,18 @@ func NewNode(id int, inst *tsp.Instance, cfg Config, comm Comm, seed int64) *Nod
 		cfg.CR = 256
 	}
 	if cfg.KicksPerCall <= 0 {
-		cfg.KicksPerCall = int64(inst.N() / 10)
-		if cfg.KicksPerCall < 20 {
-			cfg.KicksPerCall = 20
-		}
+		cfg.KicksPerCall = clk.KicksPerRound(inst.N())
 	}
-	solver := clk.New(inst, cfg.CLK, seed)
+	g := clk.BuildGroup(inst, cfg.CLK, clk.GroupParams{
+		Workers:    max(1, cfg.Workers),
+		MergeEvery: -1,
+	}, seed)
 	n := &Node{
 		ID:     id,
 		cfg:    cfg,
-		solver: solver,
+		group:  g,
+		solver: g.Worker(0),
 		comm:   comm,
-	}
-	if cfg.Workers > 1 {
-		// Extra workers share the primary's candidate table; only their RNG
-		// streams and incumbents differ.
-		p := cfg.CLK
-		p.Neighbors = solver.Nbr
-		n.extras = make([]*clk.Solver, cfg.Workers-1)
-		n.extraRes = make([]clk.Result, cfg.Workers-1)
-		for j := range n.extras {
-			n.extras[j] = clk.New(inst, p, seed+int64(j+1)*extraSeedSalt)
-		}
 	}
 	n.stats.NodeID = id
 	return n
@@ -174,17 +158,16 @@ func NewNode(id int, inst *tsp.Instance, cfg Config, comm Comm, seed int64) *Nod
 // EA iteration: one per in-node worker. simnet multiplies StepCost by it
 // so a 4-worker node consumes virtual time 4x faster — budgets measured
 // in virtual seconds stay comparable across worker counts.
-func (n *Node) CostFactor() int { return 1 + len(n.extras) }
+func (n *Node) CostFactor() int { return n.group.Workers() }
 
 // SetRecorder attaches the node's observability recorder (nil is fine) and
-// threads it into the embedded CLK solver. Call before Run.
+// threads it into every in-node worker. Call before Run.
 func (n *Node) SetRecorder(rec *obs.Recorder) {
 	n.rec = rec
-	n.solver.Rec = rec
-	// Extra workers share the node's recorder: counters are atomic and
-	// sinks serialize, so concurrent kick events from them are safe.
-	for _, ex := range n.extras {
-		ex.Rec = rec
+	// Workers share the node's recorder: counters and the best length are
+	// atomic and sinks serialize, so concurrent kick events are safe.
+	for i := 0; i < n.group.Workers(); i++ {
+		n.group.Worker(i).Rec = rec
 	}
 }
 
@@ -349,10 +332,7 @@ func (n *Node) Finish() Stats {
 		n.comm.AnnounceOptimum(n.sBestLen)
 	}
 	n.stats.BestLength = n.sBestLen
-	n.stats.Kicks = n.solver.Kicks()
-	for _, ex := range n.extras {
-		n.stats.Kicks += ex.Kicks()
-	}
+	n.stats.Kicks = n.group.Kicks()
 	//lint:ignore nodeterminism Stats.Elapsed is reporting-only; simnet replays run on the virtual clock and never read it
 	n.stats.Elapsed = time.Since(n.start)
 	return n.stats
@@ -371,10 +351,10 @@ func (n *Node) CrashRecover() {
 	n.solver.Reconstruct(n.cfg.RestartConstruct)
 	n.sBest, n.sBestLen = n.solver.Best()
 	n.sPrevLen = n.sBestLen
-	// The crash lost every worker's volatile state: extras restart from the
-	// reconstructed tour too.
-	for _, ex := range n.extras {
-		ex.SetTour(n.sBest)
+	// The crash lost every worker's volatile state: the others restart
+	// from the reconstructed tour too.
+	for i := 1; i < n.group.Workers(); i++ {
+		n.group.Worker(i).SetTour(n.sBest)
 	}
 }
 
@@ -411,40 +391,17 @@ func (n *Node) setPerturbLevel(level int) {
 	}
 }
 
-// runCLK runs the embedded CLK under the per-iteration kick budget, clipped
-// by the global context/target. With Workers > 1, the extra workers chain
-// kicks concurrently from their own incumbents (re-rooted at the node best
-// when strictly behind it) while the primary runs the perturbed chain; the
-// shortest result wins and kick counts aggregate.
+// runCLK runs one group round under the per-iteration kick budget, clipped
+// by the global context/target. Worker 0 carries the perturbed chain; the
+// other workers first re-root at the node best when strictly behind it.
 func (n *Node) runCLK(ctx context.Context, b Budget) clk.Result {
-	kb := clk.Budget{
+	for i := 1; i < n.group.Workers(); i++ {
+		if w := n.group.Worker(i); n.sBest != nil && w.BestLength() > n.sBestLen {
+			w.SetTour(n.sBest)
+		}
+	}
+	return n.group.RunPerturbed(ctx, clk.Budget{
 		MaxKicks: n.cfg.KicksPerCall,
 		Target:   b.Target,
-	}
-	if len(n.extras) == 0 {
-		return n.solver.RunPerturbed(ctx, kb)
-	}
-	for _, ex := range n.extras {
-		if n.sBest != nil && ex.BestLength() > n.sBestLen {
-			ex.SetTour(n.sBest)
-		}
-	}
-	var wg sync.WaitGroup
-	for j := range n.extras {
-		wg.Add(1)
-		go func(j int) {
-			defer wg.Done()
-			n.extraRes[j] = n.extras[j].Run(ctx, kb)
-		}(j)
-	}
-	res := n.solver.RunPerturbed(ctx, kb)
-	wg.Wait()
-	for _, r := range n.extraRes {
-		res.Kicks += r.Kicks
-		res.Improves += r.Improves
-		if r.Length < res.Length {
-			res.Tour, res.Length = r.Tour, r.Length
-		}
-	}
-	return res
+	})
 }

@@ -42,13 +42,6 @@ func (l *Lists) Of(city int32) []int32 {
 	return l.flat[l.off[city]:l.off[city+1]]
 }
 
-// DistsOf returns the precomputed distances parallel to Of(city):
-// DistsOf(city)[i] == Instance.Dist(city, Of(city)[i]). The slice aliases
-// internal storage; callers must not modify it.
-func (l *Lists) DistsOf(city int32) []int64 {
-	return l.dist[l.off[city]:l.off[city+1]]
-}
-
 // Cand returns city's candidates and their precomputed distances in one
 // call — the hot-path accessor used by the LK inner loop.
 func (l *Lists) Cand(city int32) ([]int32, []int64) {

@@ -70,11 +70,11 @@ const (
 	// KindMerge: an in-node elite merge pass finished — the union-graph
 	// restricted LK fused the elite pool. Node = the worker group's recorder
 	// (worker 0), Value = resulting tour length (recorded whether or not it
-	// improved the shared best).
+	// improved on the round's best).
 	KindMerge
-	// KindAdopt: a stale worker restarted from the shared best tour
-	// published by another worker (or the merger). Node = adopting worker,
-	// From = publishing worker (-1 = the merger), Value = adopted length.
+	// KindAdopt: a worker behind the round's best tour restarted from it
+	// at the barrier. Node = adopting worker, From = the round's winning
+	// worker (-1 = a merged tour), Value = adopted length.
 	KindAdopt
 	// KindFullSent: a whole tour went on the wire to one peer — first
 	// contact, keyframe cadence, or a delta that would not have been

@@ -255,6 +255,33 @@ func TestConcurrentRecorders(t *testing.T) {
 	}
 }
 
+// In-node workers share one recorder, so concurrent best updates
+// (LKImprove, SetBest) must never overwrite a lower best with a higher
+// one. Each trial races the writers' final, lowest records.
+func TestSharedRecorderBestIsMinimum(t *testing.T) {
+	const writers, perWriter, trials = 8, 64, 2000
+	for trial := 0; trial < trials; trial++ {
+		r := NewRecorder(0, nil)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < writers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				<-start
+				for j := perWriter; j >= 1; j-- {
+					r.SetBest(int64(j*writers + g)) // distinct across writers
+				}
+			}(g)
+		}
+		close(start)
+		wg.Wait()
+		if got, want := r.Best(), int64(writers); got != want {
+			t.Fatalf("trial %d: Best() = %d, want the minimum recorded length %d", trial, got, want)
+		}
+	}
+}
+
 func TestMetricsHandler(t *testing.T) {
 	o := NewObserver(2, nil)
 	o.Recorder(0).Improve(77)

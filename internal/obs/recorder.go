@@ -23,7 +23,7 @@ type Counters struct {
 	BroadcastsAccepted atomic.Int64 // received tours adopted as node best
 	MsgDrops           atomic.Int64 // tours lost in transit to this node
 	Merges             atomic.Int64 // in-node elite merge passes completed
-	Adoptions          atomic.Int64 // shared-best adoptions by stale workers
+	Adoptions          atomic.Int64 // round-best adoptions by workers behind it
 	FullSends          atomic.Int64 // whole tours sent (per peer)
 	DeltaSends         atomic.Int64 // segment diffs sent (per peer)
 	DeltaGaps          atomic.Int64 // deltas discarded for a generation gap
@@ -215,7 +215,7 @@ func (r *Recorder) MsgDuplicated(length int64, from int) {
 }
 
 // Merged records a completed in-node elite merge pass; length is the
-// fused tour's length (recorded whether or not it beat the shared best).
+// fused tour's length (recorded whether or not it beat the round's best).
 func (r *Recorder) Merged(length int64) {
 	if r == nil {
 		return
@@ -224,8 +224,8 @@ func (r *Recorder) Merged(length int64) {
 	r.emit(KindMerge, length, -1)
 }
 
-// Adopted records this worker restarting from the shared best tour.
-// from is the publishing worker id (-1 = the merge goroutine).
+// Adopted records this worker restarting from the round's best tour at a
+// group barrier. from is the winning worker id (-1 = a merged tour).
 func (r *Recorder) Adopted(length int64, from int) {
 	if r == nil {
 		return
@@ -285,11 +285,17 @@ func (r *Recorder) Optimum(length int64) {
 	r.emit(KindOptimum, length, -1)
 }
 
-// setBest lowers the published best length. Single writer (the node's own
-// goroutine), so load-then-store is safe.
+// setBest lowers the published best length. In-node workers share their
+// node's recorder, so the lowering is an atomic-min CAS loop.
 func (r *Recorder) setBest(length int64) {
-	if cur := r.best.Load(); cur == 0 || length < cur {
-		r.best.Store(length)
+	for {
+		cur := r.best.Load()
+		if cur != 0 && length >= cur {
+			return
+		}
+		if r.best.CompareAndSwap(cur, length) {
+			return
+		}
 	}
 }
 

@@ -119,6 +119,25 @@ func TestSolveEndToEndAndCacheHit(t *testing.T) {
 	}
 }
 
+// A draining server must refuse repeat requests too: the drain check
+// runs before the cache lookup, so a cached result is no way back in.
+func TestDrainingRefusesCacheHits(t *testing.T) {
+	svc, ts := testServer(t, Options{})
+	body := reqBody(t, 60, 2, SolveParams{MaxKicks: 10}, "")
+	if resp, raw := post(t, ts.URL+"/v1/solve", body); resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, raw)
+	}
+	svc.pool.beginDrain()
+	resp, raw := post(t, ts.URL+"/v1/solve", body)
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("repeat while draining: status %d (X-Cache %q), want 503: %s",
+			resp.StatusCode, resp.Header.Get("X-Cache"), raw)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Fatal("503 without Retry-After")
+	}
+}
+
 // Two uploads of the same geometry under different names and input
 // forms (inline coords vs TSPLIB text) must share one cache entry: the
 // hash covers content, not labels.

@@ -159,6 +159,10 @@ func (s *Server) admit(req *SolveRequest) (cachedBody []byte, j *job, err error)
 	if err != nil {
 		return nil, nil, &apiError{http.StatusBadRequest, err.Error()}
 	}
+	// A draining server refuses everything, cache hits included.
+	if s.pool.draining.Load() {
+		return nil, nil, &apiError{http.StatusServiceUnavailable, errDraining.Error()}
+	}
 	key := hashInstance(in) + "|" + params.canonical()
 	if body, ok := s.cache.get(key); ok {
 		return body, nil, nil

@@ -147,8 +147,8 @@ func Run(ctx context.Context, inst *tsp.Instance, cfg Config) Result {
 	stepCost := func(i int) time.Duration {
 		// Each in-node worker charges one StepCost share: a 4-worker node
 		// burns virtual time 4x faster, keeping virtual-second budgets
-		// comparable across EA.Workers settings. (Replay determinism still
-		// requires EA.Workers <= 1 — see core.Config.Workers.)
+		// comparable across EA.Workers settings. Replay stays byte-identical
+		// at any EA.Workers: a step is one round-synchronous clk.Group round.
 		d := cfg.StepCost * time.Duration(nodes[i].CostFactor())
 		if i < len(cfg.SpeedFactors) && cfg.SpeedFactors[i] > 0 {
 			d = time.Duration(float64(d) * cfg.SpeedFactors[i])

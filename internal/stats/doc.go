@@ -1,7 +1,6 @@
 // Package stats provides the summary statistics the reproduction pipeline
-// reports: mean, median, standard deviation,
-// min/max, excess-over-reference percentages and ratios over run samples
-// (the paper averages each configuration over 10 runs, §3.1).
+// reports: means, excess-over-reference percentages and ratios over run
+// samples (the paper averages each configuration over 10 runs, §3.1).
 //
 // Invariants:
 //   - All functions are pure and allocation-light; empty inputs yield

@@ -20,55 +20,6 @@ func TestInstanceDistSymmetric(t *testing.T) {
 	}
 }
 
-func TestCacheMatrixAgreesWithMetric(t *testing.T) {
-	in := Generate(FamilyClustered, 80, 2)
-	var want [][3]int64
-	for i := 0; i < 80; i++ {
-		for j := 0; j < 80; j++ {
-			want = append(want, [3]int64{int64(i), int64(j), in.Dist(i, j)})
-		}
-	}
-	if err := in.CacheMatrix(); err != nil {
-		t.Fatal(err)
-	}
-	if !in.DistCached() {
-		t.Fatal("cache not installed")
-	}
-	for _, w := range want {
-		if got := in.Dist(int(w[0]), int(w[1])); got != w[2] {
-			t.Fatalf("cached Dist(%d,%d) = %d, want %d", w[0], w[1], got, w[2])
-		}
-	}
-	// DistFunc must use the cache too.
-	df := in.DistFunc()
-	if df(3, 7) != in.Dist(3, 7) {
-		t.Fatal("DistFunc disagrees with Dist")
-	}
-}
-
-func TestCacheMatrixRefusesLarge(t *testing.T) {
-	in := Generate(FamilyUniform, MaxCacheN+1, 3)
-	err := in.CacheMatrix()
-	if err == nil {
-		t.Fatal("CacheMatrix accepted an instance beyond MaxCacheN")
-	}
-	if in.DistCached() {
-		t.Fatal("cache installed beyond MaxCacheN")
-	}
-	// The refusal must be non-fatal: Dist keeps working via the metric.
-	if in.Dist(0, 1) != in.Metric.Dist(in.Pts[0], in.Pts[1]) {
-		t.Fatal("Dist fallback broken after CacheMatrix refusal")
-	}
-	// Raising the per-instance limit lets the same instance cache.
-	in.CacheLimit = MaxCacheN + 1
-	if err := in.CacheMatrix(); err != nil {
-		t.Fatalf("CacheMatrix with raised CacheLimit: %v", err)
-	}
-	if !in.DistCached() {
-		t.Fatal("cache not installed after raising CacheLimit")
-	}
-}
-
 func TestExplicitInstance(t *testing.T) {
 	m := []int64{
 		0, 2, 9,

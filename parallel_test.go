@@ -98,8 +98,7 @@ func TestParallelCLKDeterminismAtOneWorker(t *testing.T) {
 }
 
 // TestParallelCLKNoLeaks checks the cancellation contract for a parallel
-// solve: all workers and the merge goroutine stop promptly and nothing
-// leaks.
+// solve: every worker stops promptly mid-round and nothing leaks.
 func TestParallelCLKNoLeaks(t *testing.T) {
 	in, _ := Generate("uniform", 1500, 11)
 	s, err := New(in,

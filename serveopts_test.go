@@ -50,7 +50,11 @@ func TestWithScratchRecyclesAndMatchesFresh(t *testing.T) {
 	opts := func(extra ...Option) []Option {
 		return append([]Option{WithMaxKicks(30), WithSeed(11), WithBudget(5 * time.Second)}, extra...)
 	}
-	fresh, err := SolveCLK(in, opts()...)
+	plain, err := New(in, opts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := plain.Solve(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
