@@ -77,28 +77,11 @@ func StandIn(paperName string, seed int64) (*Instance, error) {
 	return tsp.StandIn(paperName, seed)
 }
 
-// NodeStats reports one node's search statistics, sourced from the
-// observability layer. For parallel plain-CLK solves (WithWorkers(n > 1))
+// NodeStats reports one node's search statistics: the observability
+// layer's per-node counters (internal/obs CounterSnapshot, JSON-tagged as
+// -metrics serves them). For parallel plain-CLK solves (WithWorkers(n > 1))
 // there is one entry per worker rather than per node.
-type NodeStats struct {
-	// Node is the node id for distributed solves, the worker id for
-	// parallel plain-CLK solves, and 0 for a classic single-worker solve.
-	Node int
-	// BestLength is the node's own best tour length.
-	BestLength int64
-	// Kicks counts double-bridge kicks attempted.
-	Kicks int64
-	// Improvements counts strict LK chain improvements.
-	Improvements int64
-	// Restarts counts restart-rule firings.
-	Restarts int64
-	// BroadcastsSent counts tours broadcast to neighbours.
-	BroadcastsSent int64
-	// BroadcastsReceived counts tours drained from the inbox.
-	BroadcastsReceived int64
-	// BroadcastsAccepted counts received tours adopted as the node's best.
-	BroadcastsAccepted int64
-}
+type NodeStats = obs.CounterSnapshot
 
 // Result reports a solve.
 type Result struct {
@@ -703,18 +686,7 @@ func (s *Solver) Solve(ctx context.Context) (Result, error) {
 		res = s.solveCluster(ctx, nbr, relax)
 	}
 	res.Elapsed = time.Since(start)
-	for _, c := range s.observer.Counters() {
-		res.PerNode = append(res.PerNode, NodeStats{
-			Node:               c.Node,
-			BestLength:         c.BestLength,
-			Kicks:              c.Kicks,
-			Improvements:       c.Improvements,
-			Restarts:           c.Restarts,
-			BroadcastsSent:     c.BroadcastsSent,
-			BroadcastsReceived: c.BroadcastsReceived,
-			BroadcastsAccepted: c.BroadcastsAccepted,
-		})
-	}
+	res.PerNode = s.observer.Counters()
 	return res, nil
 }
 

@@ -6,16 +6,14 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 )
 
 // EventSync guards the observability vocabulary across artifacts that the
 // compiler cannot connect: the obs event-kind constants, their string
-// names, the counter structs, and the markdown event tables. Skew here is
-// silent — an undocumented kind ships, a counter is added but never
-// snapshotted, a doc table describes events that no longer exist. The
-// analyzer runs on internal/obs (or any package annotated
+// names, and the markdown event tables. Skew here is silent — an
+// undocumented kind ships, or a doc table describes events that no longer
+// exist. The analyzer runs on internal/obs (or any package annotated
 // //distlint:events) and checks:
 //
 //   - every Kind* constant has a non-empty entry in the kindNames array;
@@ -23,12 +21,13 @@ import (
 //     header's first column is `kind`) in the package's doc set — the
 //     package directory's own README.md/DESIGN.md if present, else the
 //     module root's;
-//   - every backticked name in those tables is a live kind (stale rows);
-//   - the Counters and CounterSnapshot structs agree field-for-field, and
-//     the Snapshot() method copies every counter.
+//   - every backticked name in those tables is a live kind (stale rows).
+//
+// The counters need no check of their own: obs.CounterSnapshot is their
+// one declaration, and a golden test pins its JSON.
 var EventSync = &Analyzer{
 	Name: "eventsync",
-	Doc:  "obs event kinds, counters, and the markdown event tables must agree (names, docs, snapshot coverage)",
+	Doc:  "obs event kinds, their names and the markdown event tables must agree",
 	Run:  runEventSync,
 }
 
@@ -56,7 +55,6 @@ func runEventSync(pass *Pass) {
 	if names != nil {
 		checkEventDocs(pass, pkg, names, namesPos)
 	}
-	checkCounterSync(pass, pkg)
 }
 
 // kindConstants returns the ordered Kind* constant names of the package's
@@ -277,121 +275,4 @@ func backticked(s string) []string {
 		out = append(out, s[:end])
 		s = s[end+1:]
 	}
-}
-
-// checkCounterSync verifies Counters ↔ CounterSnapshot ↔ Snapshot()
-// agreement: every counter has a snapshot field and is copied by the
-// Snapshot method; every snapshot field (beyond identity fields) has a
-// counter behind it.
-func checkCounterSync(pass *Pass, pkg *Package) {
-	counters, countersPos := structFields(pkg, "Counters")
-	snapshot, snapshotPos := structFields(pkg, "CounterSnapshot")
-	if counters == nil || snapshot == nil {
-		return // the package does not define the counter pair
-	}
-	snapSet := make(map[string]bool, len(snapshot))
-	for _, f := range snapshot {
-		snapSet[f] = true
-	}
-	counterSet := make(map[string]bool, len(counters))
-	for _, f := range counters {
-		counterSet[f] = true
-	}
-	for _, f := range counters {
-		if !snapSet[f] {
-			pass.Reportf(countersPos, "counter %s has no matching CounterSnapshot field; it can never be reported", f)
-		}
-	}
-	identity := map[string]bool{"Node": true, "BestLength": true}
-	for _, f := range snapshot {
-		if !identity[f] && !counterSet[f] {
-			pass.Reportf(snapshotPos, "snapshot field %s has no counter behind it; it serializes as a permanent zero", f)
-		}
-	}
-	copied := snapshotCopiedFields(pkg)
-	if copied == nil {
-		return // no Snapshot() method to check
-	}
-	missing := make([]string, 0)
-	for _, f := range counters {
-		if !copied[f] {
-			missing = append(missing, f)
-		}
-	}
-	sort.Strings(missing)
-	for _, f := range missing {
-		pass.Reportf(countersPos, "counter %s is not copied in Snapshot(); its value is dropped from every report", f)
-	}
-}
-
-// structFields returns the field names of the named struct type, or nil.
-func structFields(pkg *Package, typeName string) ([]string, token.Pos) {
-	for _, f := range pkg.Files {
-		for _, decl := range f.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok || gd.Tok != token.TYPE {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				ts, ok := spec.(*ast.TypeSpec)
-				if !ok || ts.Name.Name != typeName {
-					continue
-				}
-				st, ok := ts.Type.(*ast.StructType)
-				if !ok {
-					return nil, token.NoPos
-				}
-				var fields []string
-				for _, field := range st.Fields.List {
-					for _, name := range field.Names {
-						fields = append(fields, name.Name)
-					}
-				}
-				return fields, ts.Pos()
-			}
-		}
-	}
-	return nil, token.NoPos
-}
-
-// snapshotCopiedFields returns the CounterSnapshot composite-literal keys
-// assigned inside the Snapshot method, or nil when no Snapshot method
-// with a keyed literal exists.
-func snapshotCopiedFields(pkg *Package) map[string]bool {
-	for _, f := range pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Name.Name != "Snapshot" || fd.Body == nil || fd.Recv == nil {
-				continue
-			}
-			// Keys merge across every CounterSnapshot literal in the
-			// method: nil-receiver early returns build partial literals.
-			var copied map[string]bool
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				lit, ok := n.(*ast.CompositeLit)
-				if !ok {
-					return true
-				}
-				id, ok := lit.Type.(*ast.Ident)
-				if !ok || id.Name != "CounterSnapshot" {
-					return true
-				}
-				if copied == nil {
-					copied = make(map[string]bool)
-				}
-				for _, elt := range lit.Elts {
-					if kv, ok := elt.(*ast.KeyValueExpr); ok {
-						if key, ok := kv.Key.(*ast.Ident); ok {
-							copied[key.Name] = true
-						}
-					}
-				}
-				return true
-			})
-			if copied != nil {
-				return copied
-			}
-		}
-	}
-	return nil
 }

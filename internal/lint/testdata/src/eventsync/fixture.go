@@ -1,7 +1,5 @@
 package fixture
 
-import "sync/atomic"
-
 // Kind is the fixture's event vocabulary. KindOrphan deliberately has no
 // kindNames entry; the README's table documents a kind that no longer
 // exists (`gone`) and omits `stop`.
@@ -23,31 +21,4 @@ func (k Kind) String() string {
 		return kindNames[k]
 	}
 	return "unknown"
-}
-
-// Counters: Orphaned has no snapshot field, and Dropped is never copied
-// by Snapshot.
-type Counters struct { // want `eventsync: counter Orphaned has no matching CounterSnapshot field` `eventsync: counter Dropped is not copied in Snapshot\(\)` `eventsync: counter Orphaned is not copied in Snapshot\(\)`
-	Started  atomic.Int64
-	Dropped  atomic.Int64
-	Orphaned atomic.Int64
-}
-
-// CounterSnapshot: Ghost has no counter behind it. Node is an identity
-// field and exempt.
-type CounterSnapshot struct { // want `eventsync: snapshot field Ghost has no counter behind it`
-	Node    int
-	Started int64
-	Dropped int64
-	Ghost   int64
-}
-
-func (c *Counters) Snapshot() CounterSnapshot {
-	if c == nil {
-		return CounterSnapshot{Node: -1}
-	}
-	return CounterSnapshot{
-		Node:    0,
-		Started: c.Started.Load(),
-	}
 }

@@ -10,11 +10,3 @@ const (
 )
 
 var kindNames = [...]string{"start"}
-
-type Counters struct {
-	Started int64
-}
-
-type CounterSnapshot struct {
-	Ghost int64
-}

@@ -1,7 +1,7 @@
 package lkh
 
 import (
-	"math/rand"
+	"context"
 	"time"
 
 	"distclk/internal/clk"
@@ -38,75 +38,6 @@ func DefaultParams() Params {
 	}
 }
 
-// AlphaCandidates builds alpha-nearness candidate lists. The
-// implementation was promoted to neighbor.BuildAlpha so the candidate
-// strategy registry can offer it in the hot path; this wrapper remains the
-// lkh-facing name.
-func AlphaCandidates(in *tsp.Instance, k int, ascentIters int) (*neighbor.Lists, error) {
-	return neighbor.BuildAlpha(in, k, ascentIters)
-}
-
-// trialSolver keeps an incumbent and runs kick+deep-LK trials.
-type trialSolver struct {
-	inst    *tsp.Instance
-	opt     *lk.Optimizer
-	best    *lk.ArrayTour
-	bestLen int64
-	kick    func() (int64, [8]int32)
-}
-
-func newTrialSolver(in *tsp.Instance, cand *neighbor.Lists, params lk.Params, seed int64) *trialSolver {
-	initial := construct.Build(construct.Greedy, in, cand, nil)
-	opt := lk.NewOptimizer(in, cand, initial, params)
-	opt.OptimizeAll(nil)
-	ts := &trialSolver{
-		inst:    in,
-		opt:     opt,
-		best:    lk.NewArrayTour(opt.Tour.Tour()),
-		bestLen: opt.Length(),
-	}
-	rng := rand.New(rand.NewSource(seed))
-	dist := in.DistFunc()
-	n := in.N()
-	ts.kick = func() (int64, [8]int32) {
-		var cities [4]int32
-		for i := 0; i < 4; {
-			c := int32(rng.Intn(n))
-			dup := false
-			for j := 0; j < i; j++ {
-				if cities[j] == c {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				cities[i] = c
-				i++
-			}
-		}
-		return clk.DoubleBridge(ts.opt.Tour, cities, dist)
-	}
-	return ts
-}
-
-func (ts *trialSolver) trial() {
-	delta, touched := ts.kickApply()
-	ts.opt.SetLength(ts.bestLen + delta)
-	ts.opt.QueueCities(touched[:])
-	ts.opt.Optimize(nil)
-	if ts.opt.Length() <= ts.bestLen {
-		ts.bestLen = ts.opt.Length()
-		ts.best.CopyFrom(ts.opt.Tour)
-	} else {
-		ts.opt.Tour.CopyFrom(ts.best)
-		ts.opt.SetLength(ts.bestLen)
-	}
-}
-
-func (ts *trialSolver) kickApply() (int64, [8]int32) { return ts.kick() }
-
-func (ts *trialSolver) bestTour() tsp.Tour { return ts.best.Tour() }
-
 // Result reports a Solve run.
 type Result struct {
 	Tour    tsp.Tour
@@ -115,41 +46,42 @@ type Result struct {
 	Elapsed time.Duration
 }
 
-// Solve runs the LKH-style solver: alpha candidates, deep LK over them, and
-// double-bridge trials retaining the best tour. deadline (optional, zero to
-// disable) and target (optional, 0 to disable) bound the run.
+// Solve runs the LKH-style solver: a chained-LK clk.Solver over alpha
+// candidates with the deep LK schedule, a greedy start and uniformly random
+// double-bridge trials. deadline (optional, zero to disable) and target
+// (optional, 0 to disable) bound the run.
 func Solve(in *tsp.Instance, p Params, seed int64, deadline time.Time, target int64) Result {
 	if p.CandidateK == 0 {
 		p = DefaultParams()
 	}
+	ctx := context.Background()
+	if !deadline.IsZero() {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, deadline)
+		defer cancel()
+	}
 	start := time.Now()
-	cand, err := AlphaCandidates(in, p.CandidateK, p.AscentIterations)
+	cand, err := neighbor.BuildAlpha(in, p.CandidateK, p.AscentIterations)
 	if err != nil {
 		// Alpha selection cannot fail on a well-formed instance; fall back
 		// to plain nearest neighbours so Solve keeps its no-error contract.
 		cand = neighbor.Build(in, p.CandidateK)
 	}
-
 	trials := p.Trials
 	if trials <= 0 {
 		trials = in.N()
 	}
-	solver := newTrialSolver(in, cand, p.LK, seed)
-	done := 0
-	for t := 0; t < trials; t++ {
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			break
-		}
-		if target > 0 && solver.bestLen <= target {
-			break
-		}
-		solver.trial()
-		done++
-	}
+	s := clk.New(in, clk.Params{
+		Kick:      clk.KickRandom,
+		Neighbors: cand,
+		LK:        p.LK,
+		Construct: construct.Greedy,
+	}, seed)
+	res := s.Run(ctx, clk.Budget{MaxKicks: int64(trials), Target: target})
 	return Result{
-		Tour:    solver.bestTour(),
-		Length:  solver.bestLen,
-		Trials:  done,
+		Tour:    res.Tour,
+		Length:  res.Length,
+		Trials:  int(res.Kicks),
 		Elapsed: time.Since(start),
 	}
 }

@@ -9,56 +9,6 @@ import (
 	"distclk/internal/tsp"
 )
 
-func TestAlphaCandidatesStructure(t *testing.T) {
-	in := tsp.Generate(tsp.FamilyUniform, 120, 1)
-	cand, err := AlphaCandidates(in, 5, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cand.N() != 120 {
-		t.Fatalf("N = %d", cand.N())
-	}
-	if cand.K() < 5 {
-		t.Fatalf("K = %d, want >= 5 (symmetrization can grow lists)", cand.K())
-	}
-	for c := int32(0); c < 120; c++ {
-		for _, o := range cand.Of(c) {
-			if o < 0 || o >= 120 {
-				t.Fatalf("city %d has invalid candidate %d", c, o)
-			}
-		}
-	}
-}
-
-func TestAlphaCandidatesSymmetric(t *testing.T) {
-	in := tsp.Generate(tsp.FamilyClustered, 80, 3)
-	cand, err := AlphaCandidates(in, 5, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Padding repeats entries, so check one-way membership modulo pads:
-	// if j is a distinct candidate of i, i must appear among j's.
-	for i := int32(0); i < 80; i++ {
-		seen := map[int32]bool{}
-		for _, j := range cand.Of(i) {
-			if j == i || seen[j] {
-				continue
-			}
-			seen[j] = true
-			found := false
-			for _, back := range cand.Of(j) {
-				if back == i {
-					found = true
-					break
-				}
-			}
-			if !found {
-				t.Fatalf("candidate edge (%d,%d) not symmetric", i, j)
-			}
-		}
-	}
-}
-
 func TestSolveSmallToOptimum(t *testing.T) {
 	in := tsp.Generate(tsp.FamilyUniform, 15, 5)
 	_, optLen, err := exact.HeldKarp(in)
@@ -106,5 +56,28 @@ func TestSolveRespectsDeadline(t *testing.T) {
 	// Candidate generation is not interruptible; allow generous slack.
 	if time.Since(start) > 15*time.Second {
 		t.Fatalf("deadline ignored: %v", time.Since(start))
+	}
+}
+
+func TestSolveZeroTrials(t *testing.T) {
+	in := tsp.Generate(tsp.FamilyUniform, 30, 7)
+	p := DefaultParams()
+	p.Trials = 1
+	res := Solve(in, p, 1, time.Time{}, 0)
+	if err := res.Tour.Validate(30); err != nil {
+		t.Fatal(err)
+	}
+	if res.Trials != 1 {
+		t.Fatalf("trials = %d", res.Trials)
+	}
+}
+
+func TestSolveTargetShortCircuits(t *testing.T) {
+	in := tsp.Generate(tsp.FamilyUniform, 30, 9)
+	// An absurdly generous target: the first descent already meets it, so
+	// no trials should run.
+	res := Solve(in, DefaultParams(), 1, time.Time{}, 1<<60)
+	if res.Trials != 0 {
+		t.Fatalf("ran %d trials despite met target", res.Trials)
 	}
 }

@@ -5,7 +5,9 @@
 // best parts of every input. Cook & Seymour find the optimum in the union
 // graph with branch-decomposition dynamic programming; the restricted-LK
 // substitution keeps the same search space at reduced fidelity
-// (DESIGN.md §6).
+// (DESIGN.md §6). Both phases are configured clk.Solvers: the merge phase
+// is one whose candidate lists are the union graph, started from the best
+// base tour, with the deep LK schedule and random double-bridge kicks.
 //
 // Invariants:
 //   - The merged tour uses union-graph edges only, and is never worse

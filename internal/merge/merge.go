@@ -2,10 +2,10 @@ package merge
 
 import (
 	"context"
-	"math/rand"
 	"time"
 
 	"distclk/internal/clk"
+	"distclk/internal/construct"
 	"distclk/internal/lk"
 	"distclk/internal/neighbor"
 	"distclk/internal/tsp"
@@ -114,52 +114,25 @@ func Solve(in *tsp.Instance, p Params, seed int64, deadline time.Time, target in
 		return Result{Tour: bestBase, Length: bestBaseLen, BaseBest: bestBaseLen}
 	}
 
-	opt := lk.NewOptimizer(in, cand, bestBase, p.DeepLK)
-	opt.OptimizeAll(nil)
-	best := lk.NewArrayTour(opt.Tour.Tour())
-	bestLen := opt.Length()
-
-	// Perturbation trials confined to the union graph.
-	rng := rand.New(rand.NewSource(seed + 13))
-	dist := in.DistFunc()
-	for trial := 0; trial < p.MergeKicks; trial++ {
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			break
-		}
-		if target > 0 && bestLen <= target {
-			break
-		}
-		var cities [4]int32
-		for i := 0; i < 4; {
-			c := int32(rng.Intn(n))
-			dup := false
-			for j := 0; j < i; j++ {
-				if cities[j] == c {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				cities[i] = c
-				i++
-			}
-		}
-		delta, touched := clk.DoubleBridge(opt.Tour, cities, dist)
-		opt.SetLength(bestLen + delta)
-		opt.QueueCities(touched[:])
-		opt.Optimize(nil)
-		if opt.Length() <= bestLen {
-			bestLen = opt.Length()
-			best.CopyFrom(opt.Tour)
-		} else {
-			opt.Tour.CopyFrom(best)
-			opt.SetLength(bestLen)
-		}
+	// Perturbation trials confined to the union graph, from the best base
+	// tour. The solver's own greedy start is discarded by SetTour.
+	ms := clk.New(in, clk.Params{
+		Kick:      clk.KickRandom,
+		Neighbors: cand,
+		LK:        p.DeepLK,
+		Construct: construct.Greedy,
+	}, seed+13)
+	ms.SetTour(bestBase)
+	ms.OptimizeCurrent()
+	tour, length := ms.Best()
+	if p.MergeKicks > 0 { // a zero kick budget would leave Run unbounded
+		res := ms.Run(ctx, clk.Budget{MaxKicks: int64(p.MergeKicks), Target: target})
+		tour, length = res.Tour, res.Length
 	}
 
 	return Result{
-		Tour:       best.Tour(),
-		Length:     bestLen,
+		Tour:       tour,
+		Length:     length,
 		BaseBest:   bestBaseLen,
 		UnionEdges: CountEdges(adj),
 		Elapsed:    time.Since(start),

@@ -135,14 +135,14 @@ func (k Kind) String() string {
 // EALevel reports whether the kind is a low-frequency EA decision point.
 // Kick-level kinds fire once per kick (potentially millions per run) and
 // are excluded from unbounded in-memory collection; their totals live in
-// Counters.
+// the recorder's counters.
 func (k Kind) EALevel() bool {
 	switch k {
 	case KindKickAccepted, KindKickReverted, KindLKImprove, KindPerturb,
 		KindFullSent, KindDeltaSent, KindCoalesced:
 		// The send/coalesce kinds fire once per peer per broadcast — at
 		// 1024 nodes that is far too chatty for unbounded collection;
-		// their totals live in Counters.
+		// their totals live in the recorder's counters.
 		return false
 	}
 	return true

@@ -282,6 +282,49 @@ func TestSharedRecorderBestIsMinimum(t *testing.T) {
 	}
 }
 
+// TestCountersJSONGolden pins the counter JSON that -metrics serves: every
+// field name, node and best_length present even when zero, and omitempty
+// on exactly the seven group/wire counters. A renamed or retagged field
+// fails here.
+func TestCountersJSONGolden(t *testing.T) {
+	o := NewObserver(2, nil)
+	r := o.Recorder(1)
+	r.KickAccepted(90)  // kicks 1, kick_accepts 1
+	r.KickReverted()    // kicks 2
+	r.LKImprove(80)     // improvements 1, best_length 80
+	r.Perturb(3)        // perturbations 3
+	r.Restart()         // restarts 1
+	r.BroadcastSent(80) // broadcasts_sent 1
+	for i := 0; i < 2; i++ {
+		r.BroadcastReceived(85, 0) // broadcasts_received 2
+	}
+	r.ImproveReceived(70, 0) // broadcasts_accepted 1, best_length 70
+	r.MsgDropped(60, 0)      // msg_drops 1
+	r.Merged(75)             // merges 1
+	r.Adopted(75, 0)         // adoptions 1
+	r.FullSent(400, 0)       // full_sends 1, wire_bytes 400
+	r.DeltaSent(30, 0)       // delta_sends 1, wire_bytes 430
+	r.DeltaSent(20, 0)       // delta_sends 2, wire_bytes 450
+	r.DeltaGap(0)            // delta_gaps 1
+	r.CoalescedMsg(70, 0)    // coalesced 1
+	got, err := json.Marshal(o.Counters())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `[` +
+		`{"node":0,"best_length":0,"kicks":0,"kick_accepts":0,"improvements":0,` +
+		`"perturbations":0,"restarts":0,"broadcasts_sent":0,"broadcasts_received":0,` +
+		`"broadcasts_accepted":0,"msg_drops":0},` +
+		`{"node":1,"best_length":70,"kicks":2,"kick_accepts":1,"improvements":1,` +
+		`"perturbations":3,"restarts":1,"broadcasts_sent":1,"broadcasts_received":2,` +
+		`"broadcasts_accepted":1,"msg_drops":1,"merges":1,"adoptions":1,` +
+		`"full_sends":1,"delta_sends":2,"delta_gaps":1,"coalesced":1,"wire_bytes":450}` +
+		`]`
+	if string(got) != want {
+		t.Fatalf("counter JSON drifted:\n got %s\nwant %s", got, want)
+	}
+}
+
 func TestMetricsHandler(t *testing.T) {
 	o := NewObserver(2, nil)
 	o.Recorder(0).Improve(77)

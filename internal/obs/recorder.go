@@ -3,68 +3,48 @@ package obs
 import (
 	"encoding/json"
 	"net/http"
-	"sync/atomic"
+	"sync"
 	"time"
 )
 
-// Counters are the solver's hot-path tallies. All fields are atomics so a
-// metrics endpoint or progress pump can read them while the search mutates
-// them; each counter has a single writer (its node's recorder), except
-// MsgDrops, which the transport bumps on the *receiver's* recorder from
-// whatever goroutine detected the loss (atomic adds keep that safe).
-type Counters struct {
-	Kicks              atomic.Int64 // double-bridge kicks attempted
-	KickAccepts        atomic.Int64 // kicks whose re-optimized tour was kept
-	Improvements       atomic.Int64 // strict LK chain improvements
-	Perturbations      atomic.Int64 // double bridges applied as EA perturbation
-	Restarts           atomic.Int64 // restart-rule firings (stagnation > c_r)
-	BroadcastsSent     atomic.Int64 // tours broadcast to neighbours
-	BroadcastsReceived atomic.Int64 // tours drained from the inbox
-	BroadcastsAccepted atomic.Int64 // received tours adopted as node best
-	MsgDrops           atomic.Int64 // tours lost in transit to this node
-	Merges             atomic.Int64 // in-node elite merge passes completed
-	Adoptions          atomic.Int64 // round-best adoptions by workers behind it
-	FullSends          atomic.Int64 // whole tours sent (per peer)
-	DeltaSends         atomic.Int64 // segment diffs sent (per peer)
-	DeltaGaps          atomic.Int64 // deltas discarded for a generation gap
-	Coalesced          atomic.Int64 // queued tours merged away before drain
-	WireBytes          atomic.Int64 // payload bytes this node put on the wire
-}
-
-// CounterSnapshot is a point-in-time copy of one node's counters, safe to
-// serialize.
+// CounterSnapshot is one node's counters: the recorder's live state and,
+// copied out, a point-in-time snapshot safe to serialize. It is the one
+// declaration of the counter vocabulary; its JSON tags are what -metrics
+// serves.
 type CounterSnapshot struct {
-	Node               int   `json:"node"`
-	BestLength         int64 `json:"best_length"`
-	Kicks              int64 `json:"kicks"`
-	KickAccepts        int64 `json:"kick_accepts"`
-	Improvements       int64 `json:"improvements"`
-	Perturbations      int64 `json:"perturbations"`
-	Restarts           int64 `json:"restarts"`
-	BroadcastsSent     int64 `json:"broadcasts_sent"`
-	BroadcastsReceived int64 `json:"broadcasts_received"`
-	BroadcastsAccepted int64 `json:"broadcasts_accepted"`
-	MsgDrops           int64 `json:"msg_drops"`
-	Merges             int64 `json:"merges,omitempty"`
-	Adoptions          int64 `json:"adoptions,omitempty"`
-	FullSends          int64 `json:"full_sends,omitempty"`
-	DeltaSends         int64 `json:"delta_sends,omitempty"`
-	DeltaGaps          int64 `json:"delta_gaps,omitempty"`
-	Coalesced          int64 `json:"coalesced,omitempty"`
-	WireBytes          int64 `json:"wire_bytes,omitempty"`
+	Node               int   `json:"node"`                  // node id; worker id in a parallel plain-CLK solve
+	BestLength         int64 `json:"best_length"`           // lowest published length, 0 if none
+	Kicks              int64 `json:"kicks"`                 // double-bridge kicks attempted
+	KickAccepts        int64 `json:"kick_accepts"`          // kicks whose re-optimized tour was kept
+	Improvements       int64 `json:"improvements"`          // strict LK chain improvements
+	Perturbations      int64 `json:"perturbations"`         // double bridges applied as EA perturbation
+	Restarts           int64 `json:"restarts"`              // restart-rule firings (stagnation > c_r)
+	BroadcastsSent     int64 `json:"broadcasts_sent"`       // tours broadcast to neighbours
+	BroadcastsReceived int64 `json:"broadcasts_received"`   // tours drained from the inbox
+	BroadcastsAccepted int64 `json:"broadcasts_accepted"`   // received tours adopted as node best
+	MsgDrops           int64 `json:"msg_drops"`             // tours lost in transit to this node
+	Merges             int64 `json:"merges,omitempty"`      // in-node elite merge passes completed
+	Adoptions          int64 `json:"adoptions,omitempty"`   // round-best adoptions by workers behind it
+	FullSends          int64 `json:"full_sends,omitempty"`  // whole tours sent (per peer)
+	DeltaSends         int64 `json:"delta_sends,omitempty"` // segment diffs sent (per peer)
+	DeltaGaps          int64 `json:"delta_gaps,omitempty"`  // deltas discarded for a generation gap
+	Coalesced          int64 `json:"coalesced,omitempty"`   // queued tours merged away before drain
+	WireBytes          int64 `json:"wire_bytes,omitempty"`  // payload bytes this node put on the wire
 }
 
 // Recorder is one node's handle into the observability layer: it stamps
 // events with the node id and the shared run clock, bumps counters, and
 // tracks the node's best length. All methods are safe on a nil receiver —
-// solvers run unobserved at the cost of a nil check.
+// solvers run unobserved at the cost of a nil check — and on concurrent
+// callers: in-node workers share their node's recorder, and the transport
+// bumps MsgDrops on the receiver's recorder from the sender's goroutine.
 type Recorder struct {
-	node  int
 	start time.Time
 	clock func() time.Duration // overrides wall time when set (virtual clocks)
 	sink  Sink
-	best  atomic.Int64
-	c     Counters
+
+	mu sync.Mutex
+	c  CounterSnapshot // c.Node is fixed at construction; the rest under mu
 }
 
 // NewRecorder builds a recorder for `node` emitting into sink (nil means
@@ -74,7 +54,7 @@ func NewRecorder(node int, sink Sink) *Recorder {
 	if sink == nil {
 		sink = Nop
 	}
-	return &Recorder{node: node, start: time.Now(), sink: sink}
+	return &Recorder{start: time.Now(), sink: sink, c: CounterSnapshot{Node: node}}
 }
 
 func (r *Recorder) now() time.Duration {
@@ -87,7 +67,7 @@ func (r *Recorder) now() time.Duration {
 func (r *Recorder) emit(k Kind, value int64, from int) {
 	r.sink.Emit(Event{
 		At:    r.now(),
-		Node:  r.node,
+		Node:  r.c.Node,
 		Kind:  k,
 		Value: value,
 		From:  from,
@@ -99,8 +79,10 @@ func (r *Recorder) KickAccepted(length int64) {
 	if r == nil {
 		return
 	}
-	r.c.Kicks.Add(1)
-	r.c.KickAccepts.Add(1)
+	r.mu.Lock()
+	r.c.Kicks++
+	r.c.KickAccepts++
+	r.mu.Unlock()
 	r.emit(KindKickAccepted, length, -1)
 }
 
@@ -109,7 +91,9 @@ func (r *Recorder) KickReverted() {
 	if r == nil {
 		return
 	}
-	r.c.Kicks.Add(1)
+	r.mu.Lock()
+	r.c.Kicks++
+	r.mu.Unlock()
 	r.emit(KindKickReverted, 0, -1)
 }
 
@@ -118,8 +102,10 @@ func (r *Recorder) LKImprove(length int64) {
 	if r == nil {
 		return
 	}
-	r.c.Improvements.Add(1)
-	r.setBest(length)
+	r.mu.Lock()
+	r.c.Improvements++
+	r.lowerBest(length)
+	r.mu.Unlock()
 	r.emit(KindLKImprove, length, -1)
 }
 
@@ -128,7 +114,9 @@ func (r *Recorder) Improve(length int64) {
 	if r == nil {
 		return
 	}
-	r.setBest(length)
+	r.mu.Lock()
+	r.lowerBest(length)
+	r.mu.Unlock()
 	r.emit(KindImprove, length, -1)
 }
 
@@ -137,8 +125,10 @@ func (r *Recorder) ImproveReceived(length int64, from int) {
 	if r == nil {
 		return
 	}
-	r.c.BroadcastsAccepted.Add(1)
-	r.setBest(length)
+	r.mu.Lock()
+	r.c.BroadcastsAccepted++
+	r.lowerBest(length)
+	r.mu.Unlock()
 	r.emit(KindImproveReceived, length, from)
 }
 
@@ -147,7 +137,9 @@ func (r *Recorder) Perturb(count int) {
 	if r == nil {
 		return
 	}
-	r.c.Perturbations.Add(int64(count))
+	r.mu.Lock()
+	r.c.Perturbations += int64(count)
+	r.mu.Unlock()
 	r.emit(KindPerturb, int64(count), -1)
 }
 
@@ -164,7 +156,9 @@ func (r *Recorder) Restart() {
 	if r == nil {
 		return
 	}
-	r.c.Restarts.Add(1)
+	r.mu.Lock()
+	r.c.Restarts++
+	r.mu.Unlock()
 	r.emit(KindRestart, 0, -1)
 }
 
@@ -173,7 +167,9 @@ func (r *Recorder) BroadcastSent(length int64) {
 	if r == nil {
 		return
 	}
-	r.c.BroadcastsSent.Add(1)
+	r.mu.Lock()
+	r.c.BroadcastsSent++
+	r.mu.Unlock()
 	r.emit(KindBroadcastSent, length, -1)
 }
 
@@ -182,19 +178,24 @@ func (r *Recorder) BroadcastReceived(length int64, from int) {
 	if r == nil {
 		return
 	}
-	r.c.BroadcastsReceived.Add(1)
+	r.mu.Lock()
+	r.c.BroadcastsReceived++
+	r.mu.Unlock()
 	r.emit(KindBroadcastReceived, length, from)
 }
 
 // MsgDropped records a tour lost on its way to this node — full inbox,
 // link loss, partition, or a dead receiver. from is the sending node. The
 // transport calls this on the receiver's recorder, possibly from a sender's
-// goroutine; the counter is atomic and sinks serialize, so that is safe.
+// goroutine; the counter bump is locked and sinks serialize, so that is
+// safe.
 func (r *Recorder) MsgDropped(length int64, from int) {
 	if r == nil {
 		return
 	}
-	r.c.MsgDrops.Add(1)
+	r.mu.Lock()
+	r.c.MsgDrops++
+	r.mu.Unlock()
 	r.emit(KindMsgDropped, length, from)
 }
 
@@ -220,7 +221,9 @@ func (r *Recorder) Merged(length int64) {
 	if r == nil {
 		return
 	}
-	r.c.Merges.Add(1)
+	r.mu.Lock()
+	r.c.Merges++
+	r.mu.Unlock()
 	r.emit(KindMerge, length, -1)
 }
 
@@ -230,7 +233,9 @@ func (r *Recorder) Adopted(length int64, from int) {
 	if r == nil {
 		return
 	}
-	r.c.Adoptions.Add(1)
+	r.mu.Lock()
+	r.c.Adoptions++
+	r.mu.Unlock()
 	r.emit(KindAdopt, length, from)
 }
 
@@ -240,8 +245,10 @@ func (r *Recorder) FullSent(bytes int64, to int) {
 	if r == nil {
 		return
 	}
-	r.c.FullSends.Add(1)
-	r.c.WireBytes.Add(bytes)
+	r.mu.Lock()
+	r.c.FullSends++
+	r.c.WireBytes += bytes
+	r.mu.Unlock()
 	r.emit(KindFullSent, bytes, to)
 }
 
@@ -251,8 +258,10 @@ func (r *Recorder) DeltaSent(bytes int64, to int) {
 	if r == nil {
 		return
 	}
-	r.c.DeltaSends.Add(1)
-	r.c.WireBytes.Add(bytes)
+	r.mu.Lock()
+	r.c.DeltaSends++
+	r.c.WireBytes += bytes
+	r.mu.Unlock()
 	r.emit(KindDeltaSent, bytes, to)
 }
 
@@ -262,7 +271,9 @@ func (r *Recorder) DeltaGap(from int) {
 	if r == nil {
 		return
 	}
-	r.c.DeltaGaps.Add(1)
+	r.mu.Lock()
+	r.c.DeltaGaps++
+	r.mu.Unlock()
 	r.emit(KindDeltaGap, 0, from)
 }
 
@@ -272,7 +283,9 @@ func (r *Recorder) CoalescedMsg(length int64, from int) {
 	if r == nil {
 		return
 	}
-	r.c.Coalesced.Add(1)
+	r.mu.Lock()
+	r.c.Coalesced++
+	r.mu.Unlock()
 	r.emit(KindCoalesced, length, from)
 }
 
@@ -281,21 +294,16 @@ func (r *Recorder) Optimum(length int64) {
 	if r == nil {
 		return
 	}
-	r.setBest(length)
+	r.mu.Lock()
+	r.lowerBest(length)
+	r.mu.Unlock()
 	r.emit(KindOptimum, length, -1)
 }
 
-// setBest lowers the published best length. In-node workers share their
-// node's recorder, so the lowering is an atomic-min CAS loop.
-func (r *Recorder) setBest(length int64) {
-	for {
-		cur := r.best.Load()
-		if cur != 0 && length >= cur {
-			return
-		}
-		if r.best.CompareAndSwap(cur, length) {
-			return
-		}
+// lowerBest lowers the published best length; the caller holds r.mu.
+func (r *Recorder) lowerBest(length int64) {
+	if r.c.BestLength == 0 || length < r.c.BestLength {
+		r.c.BestLength = length
 	}
 }
 
@@ -305,7 +313,9 @@ func (r *Recorder) SetBest(length int64) {
 	if r == nil {
 		return
 	}
-	r.setBest(length)
+	r.mu.Lock()
+	r.lowerBest(length)
+	r.mu.Unlock()
 }
 
 // Best returns the node's best published length, 0 if none yet.
@@ -313,7 +323,9 @@ func (r *Recorder) Best() int64 {
 	if r == nil {
 		return 0
 	}
-	return r.best.Load()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.c.BestLength
 }
 
 // Elapsed returns time on the recorder's run clock (wall time since start,
@@ -330,26 +342,9 @@ func (r *Recorder) Snapshot() CounterSnapshot {
 	if r == nil {
 		return CounterSnapshot{Node: -1}
 	}
-	return CounterSnapshot{
-		Node:               r.node,
-		BestLength:         r.best.Load(),
-		Kicks:              r.c.Kicks.Load(),
-		KickAccepts:        r.c.KickAccepts.Load(),
-		Improvements:       r.c.Improvements.Load(),
-		Perturbations:      r.c.Perturbations.Load(),
-		Restarts:           r.c.Restarts.Load(),
-		BroadcastsSent:     r.c.BroadcastsSent.Load(),
-		BroadcastsReceived: r.c.BroadcastsReceived.Load(),
-		BroadcastsAccepted: r.c.BroadcastsAccepted.Load(),
-		MsgDrops:           r.c.MsgDrops.Load(),
-		Merges:             r.c.Merges.Load(),
-		Adoptions:          r.c.Adoptions.Load(),
-		FullSends:          r.c.FullSends.Load(),
-		DeltaSends:         r.c.DeltaSends.Load(),
-		DeltaGaps:          r.c.DeltaGaps.Load(),
-		Coalesced:          r.c.Coalesced.Load(),
-		WireBytes:          r.c.WireBytes.Load(),
-	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.c
 }
 
 // Observer owns the observability of one whole solve: a recorder per node,
@@ -385,7 +380,7 @@ func newObserver(nodes int, extra Sink, clock func() time.Duration) *Observer {
 	}
 	o.sink = Multi(Filter(o.collector, Kind.EALevel), extra)
 	for i := range o.recs {
-		o.recs[i] = &Recorder{node: i, start: o.start, clock: clock, sink: o.sink}
+		o.recs[i] = &Recorder{start: o.start, clock: clock, sink: o.sink, c: CounterSnapshot{Node: i}}
 	}
 	return o
 }
