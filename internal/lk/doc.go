@@ -8,6 +8,9 @@
 // Invariants:
 //   - Optimize never worsens the tour: every accepted chain has positive
 //     total gain.
+//   - Chains are edge-disjoint from Params.RelaxDepth on: no step at such
+//     a depth adds back an edge its chain removed or removes an edge its
+//     chain added.
 //   - An accepted chain re-queues both endpoints of every edge it removed
 //     or added.
 //   - The tour array and its position index stay mutually consistent

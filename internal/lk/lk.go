@@ -289,6 +289,12 @@ func (o *Optimizer) tryChain(t1, loose int32) int64 {
 // breadth, because the plateau crossings it exists for are found among
 // the later siblings.
 //
+// The chain is also edge-disjoint, as in Lin and Kernighan's original
+// rule: from RelaxDepth on, a step may neither add back an edge the chain
+// removed nor remove an edge it added (undoesChain). This keeps the
+// greedy tail from re-adding an edge it just removed at unchanged partial
+// gain, which would flip on to MaxDepth without finding anything new.
+//
 //distlint:hotpath
 func (o *Optimizer) dive(loose int32, G int64, depth int) {
 	if depth >= o.params.MaxDepth {
@@ -328,6 +334,9 @@ func (o *Optimizer) dive(loose int32, G int64, depth int) {
 		if v == loose {
 			continue // degenerate: y is loose's path successor
 		}
+		if depth >= o.relaxDepth && o.undoesChain(loose, v, y) {
+			continue // would undo one of the chain's own exchanges
+		}
 		newG := g + o.dist(y, v)
 		closeGain := newG - o.dist(v, t1)
 
@@ -356,4 +365,34 @@ func (o *Optimizer) dive(loose int32, G int64, depth int) {
 			break
 		}
 	}
+}
+
+// undoesChain reports whether the step that adds (loose,y) and removes
+// (v,y) would add back an edge the chain removed or remove an edge it
+// added. Each earlier step removed (v_i,y_i) and added (loose_i,y_i), two
+// edges that end at y_i, so one scan of the path (at most MaxDepth steps)
+// checks both. No other overlap is possible: an edge the chain added can
+// be added again only after it was removed, and vice versa. The first
+// removed edge (t1, path[0].loose) needs no check either: no step touches
+// an edge at t1, since y == t1 is skipped and so v != t1.
+//
+//distlint:hotpath
+func (o *Optimizer) undoesChain(loose, v, y int32) bool {
+	for _, s := range o.path {
+		switch s.y {
+		case y:
+			if loose == s.v || v == s.loose {
+				return true
+			}
+		case loose:
+			if y == s.v {
+				return true
+			}
+		case v:
+			if y == s.loose {
+				return true
+			}
+		}
+	}
+	return false
 }

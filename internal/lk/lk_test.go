@@ -247,3 +247,42 @@ func TestTouchedCoversChangedEdges(t *testing.T) {
 		}
 	}
 }
+
+// TestAcceptedChainsAreEdgeDisjoint: from RelaxDepth on, no step of an
+// accepted chain re-adds an edge the chain removed or removes an edge it
+// added. Without the rule the greedy tail of the dive ping-pongs on one
+// edge at unchanged partial gain, flipping all the way to MaxDepth.
+func TestAcceptedChainsAreEdgeDisjoint(t *testing.T) {
+	for _, fam := range []tsp.Family{tsp.FamilyUniform, tsp.FamilyDrill} {
+		for _, p := range []Params{DefaultParams(), relaxedParams()} {
+			in := tsp.Generate(fam, 1000, 5)
+			nbr := neighbor.Build(in, 8)
+			o := NewOptimizer(in, nbr, randomTourOf(in.N(), rand.New(rand.NewSource(17))), p)
+			chains, broken := 0, 0
+			for c := int32(0); c < int32(in.N()); c++ {
+				for o.improveCity(c) > 0 {
+					chains++
+					chain := o.bestPath[:o.bestLen]
+					removed := map[[2]int32]bool{edgeKey(o.t1, chain[0].loose): true}
+					added := map[[2]int32]bool{}
+					for i, s := range chain {
+						add, rem := edgeKey(s.loose, s.y), edgeKey(s.v, s.y)
+						if i >= p.RelaxDepth && (removed[add] || added[rem]) {
+							broken++
+							break
+						}
+						added[add] = true
+						removed[rem] = true
+					}
+				}
+			}
+			if chains == 0 {
+				t.Fatalf("%v relax=%d: no chain accepted", fam, p.RelaxDepth)
+			}
+			if broken > 0 {
+				t.Errorf("%v relax=%d: %d of %d accepted chains undo their own edges",
+					fam, p.RelaxDepth, broken, chains)
+			}
+		}
+	}
+}

@@ -493,6 +493,8 @@ func TestRequestValidation(t *testing.T) {
 		{"budget too large", `{"coords":[[0,0],[1,1],[2,2],[3,3],[4,4],[5,5],[6,6],[7,7]],"params":{"budget_ms":99999999}}`},
 		{"unknown field", `{"coordz":[[0,0]]}`},
 		{"malformed", `{`},
+		// A short upload announcing an 80 GB matrix: rejected before allocating.
+		{"short explicit section", `{"tsplib":"DIMENSION: 100000\nEDGE_WEIGHT_TYPE: EXPLICIT\nEDGE_WEIGHT_FORMAT: UPPER_ROW\nEDGE_WEIGHT_SECTION\n1 2 3\nEOF\n"}`},
 	}
 	for _, tc := range cases {
 		resp, raw := post(t, ts.URL+"/v1/solve", []byte(tc.body))

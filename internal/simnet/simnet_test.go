@@ -160,16 +160,29 @@ func countKind(events []obs.Event, k obs.Kind) int {
 }
 
 func TestPartitionDropsAndHeals(t *testing.T) {
-	in := tsp.Generate(tsp.FamilyUniform, 60, 25)
+	// 200 cities, not 60: LK solves a 60-city instance during
+	// construction, so every broadcast goes out at t=0, before the split,
+	// and the drop assertion below would test no traffic at all.
+	in := tsp.Generate(tsp.FamilyUniform, 200, 25)
 	cfg := testConfig(4)
 	cfg.Budget.MaxIterations = 12
 	// Split {0,1} | {2,3} for most of the run, then heal.
-	cfg.Partitions = []Partition{{
+	part := Partition{
 		At:     50 * time.Millisecond,
 		Heal:   900 * time.Millisecond,
 		Groups: [][]int{{0, 1}, {2, 3}},
-	}}
+	}
+	cfg.Partitions = []Partition{part}
 	res := Run(context.Background(), in, cfg)
+	sentDuring := 0
+	for _, e := range res.Events {
+		if e.Kind == obs.KindBroadcastSent && e.At >= part.At && e.At < part.Heal {
+			sentDuring++
+		}
+	}
+	if sentDuring == 0 {
+		t.Fatalf("precondition: no broadcast sent during the partition [%v, %v)", part.At, part.Heal)
+	}
 	if res.Faults.DroppedPartition == 0 {
 		t.Fatal("no messages dropped at the partition boundary")
 	}

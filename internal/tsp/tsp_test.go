@@ -174,11 +174,25 @@ EOF`
 }
 
 func TestReadTSPLIBErrors(t *testing.T) {
+	const (
+		explicit3 = "DIMENSION: 3\nEDGE_WEIGHT_TYPE: EXPLICIT\nEDGE_WEIGHT_FORMAT: "
+		coords2   = "DIMENSION: 2\nEDGE_WEIGHT_TYPE: EUC_2D\nNODE_COORD_SECTION\n1 0 0\n"
+	)
 	cases := []string{
 		"TYPE: ATSP\nDIMENSION: 3\n",                                 // asymmetric
 		"DIMENSION: x\n",                                             // bad dimension
 		"EDGE_WEIGHT_TYPE: EUC_3D\nDIMENSION: 3\n",                   // unsupported metric
 		"EDGE_WEIGHT_TYPE: EUC_2D\nNODE_COORD_SECTION\n1 0 0\nEOF\n", // missing dimension
+		// Values whose distances could be negative, asymmetric or
+		// overflow a tour length.
+		explicit3 + "UPPER_ROW\nEDGE_WEIGHT_SECTION\n1 -2 3\n",                  // negative weight
+		explicit3 + "UPPER_ROW\nEDGE_WEIGHT_SECTION\n1 2 9223372036854775807\n", // huge weight
+		explicit3 + "FULL_MATRIX\nEDGE_WEIGHT_SECTION\n0 1 2 1 0 3 2 4 0\n",     // asymmetric
+		explicit3 + "FULL_MATRIX\nEDGE_WEIGHT_SECTION\n0 1 2 1 0\n",             // short section
+		coords2 + "2 NaN 0\n",   // NaN coordinate
+		coords2 + "2 0 +Inf\n",  // Inf coordinate
+		coords2 + "2 1e300 0\n", // huge coordinate
+		"DIMENSION: 9223372036854775807\nEDGE_WEIGHT_TYPE: EXPLICIT\nEDGE_WEIGHT_FORMAT: FULL_MATRIX\n", // n*n overflows
 	}
 	for i, src := range cases {
 		if _, err := ReadTSPLIB(strings.NewReader(src)); err == nil {

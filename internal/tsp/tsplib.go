@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -11,13 +12,24 @@ import (
 	"distclk/internal/geom"
 )
 
+// Bounds on the numbers a TSPLIB file may carry. Every distance stays
+// below 2^31, like TSPLIB's and Concorde's int distances, so no tour
+// length can overflow int64. maxCoord keeps the widest metric (MAN_2D,
+// at most 4*maxCoord) inside that bound; it also rejects NaN and Inf.
+const (
+	maxWeight = math.MaxInt32
+	maxCoord  = 5e8
+)
+
 // ReadTSPLIB parses a TSPLIB-format .tsp file. Supported EDGE_WEIGHT_TYPEs:
 // EUC_2D, CEIL_2D, ATT, GEO, MAN_2D, MAX_2D, and EXPLICIT with
 // EDGE_WEIGHT_FORMAT FULL_MATRIX, UPPER_ROW, LOWER_ROW, UPPER_DIAG_ROW, or
-// LOWER_DIAG_ROW.
+// LOWER_DIAG_ROW. The input is untrusted: nothing is allocated from
+// DIMENSION before the data it announces has arrived, and every accepted
+// instance has symmetric, non-negative distances.
 func ReadTSPLIB(r io.Reader) (*Instance, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	sc.Buffer(nil, 1<<24)
 
 	var (
 		name, comment    string
@@ -80,12 +92,18 @@ func ReadTSPLIB(r io.Reader) (*Instance, error) {
 			if err1 != nil || err2 != nil {
 				return nil, fmt.Errorf("tsp: bad coordinate line %q", line)
 			}
+			if !(math.Abs(x) <= maxCoord && math.Abs(y) <= maxCoord) {
+				return nil, fmt.Errorf("tsp: coordinate out of range [-%g, %g] in %q", maxCoord, maxCoord, line)
+			}
 			pts = append(pts, geom.Point{X: x, Y: y})
 		case inEdge:
 			for _, f := range strings.Fields(line) {
 				v, err := strconv.ParseInt(f, 10, 64)
 				if err != nil {
 					return nil, fmt.Errorf("tsp: bad edge weight %q", f)
+				}
+				if v < 0 || v > maxWeight {
+					return nil, fmt.Errorf("tsp: edge weight %d out of range [0, %d]", v, maxWeight)
 				}
 				matrixVals = append(matrixVals, v)
 			}
@@ -134,67 +152,65 @@ func keywordValue(line string) string {
 	return ""
 }
 
-func expandMatrix(n int, format string, vals []int64) ([]int64, error) {
-	m := make([]int64, n*n)
-	set := func(i, j int, v int64) {
-		m[i*n+j] = v
-		m[j*n+i] = v
+// weightCount returns how many EDGE_WEIGHT_SECTION values format needs for
+// n cities. It fails when the n-by-n matrix would overflow int.
+func weightCount(n int, format string) (int, error) {
+	if n > math.MaxInt/n {
+		return 0, fmt.Errorf("tsp: DIMENSION %d too large for an explicit matrix", n)
 	}
-	k := 0
-	take := func() (int64, error) {
-		if k >= len(vals) {
-			return 0, fmt.Errorf("tsp: edge weight section too short (%d values)", len(vals))
-		}
-		v := vals[k]
-		k++
-		return v, nil
-	}
-	var err error
-	var v int64
+	tri := n * (n - 1) / 2
 	switch format {
 	case "FULL_MATRIX":
-		if len(vals) < n*n {
-			return nil, fmt.Errorf("tsp: FULL_MATRIX needs %d values, got %d", n*n, len(vals))
-		}
-		copy(m, vals[:n*n])
-	case "UPPER_ROW":
+		return n * n, nil
+	case "UPPER_ROW", "LOWER_ROW":
+		return tri, nil
+	case "UPPER_DIAG_ROW", "LOWER_DIAG_ROW":
+		return tri + n, nil
+	}
+	return 0, fmt.Errorf("tsp: unsupported EDGE_WEIGHT_FORMAT %q", format)
+}
+
+// expandMatrix builds the symmetric n-by-n matrix from the section values.
+// It checks the value count before allocating, so a short section that
+// declares a huge DIMENSION costs nothing.
+func expandMatrix(n int, format string, vals []int64) ([]int64, error) {
+	need, err := weightCount(n, format)
+	if err != nil {
+		return nil, err
+	}
+	if len(vals) < need {
+		return nil, fmt.Errorf("tsp: %s with DIMENSION %d needs %d edge weights, got %d", format, n, need, len(vals))
+	}
+	m := make([]int64, n*n)
+	if format == "FULL_MATRIX" {
+		copy(m, vals[:need])
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
-				if v, err = take(); err != nil {
-					return nil, err
+				if m[i*n+j] != m[j*n+i] {
+					return nil, fmt.Errorf("tsp: FULL_MATRIX is not symmetric at (%d,%d)", i+1, j+1)
 				}
-				set(i, j, v)
 			}
 		}
-	case "LOWER_ROW":
-		for i := 0; i < n; i++ {
-			for j := 0; j < i; j++ {
-				if v, err = take(); err != nil {
-					return nil, err
-				}
-				set(i, j, v)
-			}
+		return m, nil
+	}
+	k := 0
+	for i := 0; i < n; i++ {
+		// Row i of the triangle covers columns [lo, hi).
+		lo, hi := 0, n
+		switch format {
+		case "UPPER_ROW":
+			lo = i + 1
+		case "LOWER_ROW":
+			hi = i
+		case "UPPER_DIAG_ROW":
+			lo = i
+		case "LOWER_DIAG_ROW":
+			hi = i + 1
 		}
-	case "UPPER_DIAG_ROW":
-		for i := 0; i < n; i++ {
-			for j := i; j < n; j++ {
-				if v, err = take(); err != nil {
-					return nil, err
-				}
-				set(i, j, v)
-			}
+		for j := lo; j < hi; j++ {
+			m[i*n+j], m[j*n+i] = vals[k], vals[k]
+			k++
 		}
-	case "LOWER_DIAG_ROW":
-		for i := 0; i < n; i++ {
-			for j := 0; j <= i; j++ {
-				if v, err = take(); err != nil {
-					return nil, err
-				}
-				set(i, j, v)
-			}
-		}
-	default:
-		return nil, fmt.Errorf("tsp: unsupported EDGE_WEIGHT_FORMAT %q", format)
 	}
 	return m, nil
 }
