@@ -1,21 +1,6 @@
 GO ?= go
 
-# bench: which benchmarks feed the perf snapshot, and where it lands.
-# Covers the LK hot-path trio (raw Flip cost, the zero-alloc
-# Optimize-after-kick acceptance benchmark, full CLK kick throughput on the
-# synthetic E1k/C3k testbed instances), the in-node parallel group at
-# 1/2/4/8 workers, and the candidate-strategy x gain-rule cross-product
-# (kNN/quadrant/alpha/Delaunay x strict/relaxed on three families).
-BENCH_PATTERN ?= ^(BenchmarkFlip|BenchmarkOptimizeAfterKick|BenchmarkCLKKicksPerSec|BenchmarkParallelCLK|BenchmarkCandidateStrategies)$$
-BENCH_OUT     ?= BENCH_PR7.json
-BENCH_TIME    ?= 1s
-
-.PHONY: check build vet fmt lint distlint ignore-audit suppressions test race bench repro repro-smoke doc-links loadtest service-smoke
-
-# loadtest: worker counts the solve-service load test sweeps, and where
-# its latency/throughput report lands (see results/README.md).
-LOAD_WORKERS ?= 1,2
-LOAD_OUT     ?= results/BENCH_PR8.json
+.PHONY: check build vet fmt lint distlint ignore-audit suppressions test race repro repro-smoke doc-links service-smoke
 
 ## check: everything CI runs — lint, full tests, race tests
 check: lint test race
@@ -59,19 +44,6 @@ test:
 ## via the raceSlack build-tag constant)
 race:
 	$(GO) test -race ./...
-
-## bench: run the hot-path benchmarks and emit the $(BENCH_OUT) snapshot
-## (ns/op, allocs/op, kicks/sec, seeded final tour length) for the perf
-## trajectory future PRs regress against
-bench:
-	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -benchtime $(BENCH_TIME) -count 1 -timeout 30m . > bench.out 2>&1 || { cat bench.out; rm -f bench.out; exit 1; }
-	$(GO) run ./cmd/benchjson -out $(BENCH_OUT) < bench.out
-	@rm -f bench.out
-
-## loadtest: drive the solve service with concurrent clients and emit the
-## $(LOAD_OUT) report (p50/p95/p99 latency + throughput per worker count)
-loadtest:
-	$(GO) run ./cmd/solved -loadtest -lt-workers $(LOAD_WORKERS) -out $(LOAD_OUT)
 
 ## service-smoke: build cmd/solved, boot it, and exercise the e2e contract
 ## (200 + optimal tour, byte-identical cache hit, clean SIGINT drain)

@@ -10,23 +10,15 @@
 // On SIGINT/SIGTERM the service stops admitting jobs (new submissions
 // get 503 + Retry-After), drains in-flight and queued solves within
 // -drain, then exits 0. A second signal kills the process immediately.
-//
-// The -loadtest mode skips serving: it boots ephemeral service
-// instances, sweeps the -lt-workers pool sizes with concurrent clients,
-// and writes latency percentiles + throughput to -out (the
-// BENCH_PR8.json schema, see results/README.md).
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -45,14 +37,6 @@ func main() {
 		maxBudget = flag.Duration("max-budget", 30*time.Second, "largest per-job budget a request may ask for")
 		drain     = flag.Duration("drain", 30*time.Second, "shutdown drain deadline")
 		pprofAd   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060)")
-
-		loadtest = flag.Bool("loadtest", false, "run the load-test harness instead of serving")
-		out      = flag.String("out", "BENCH_PR8.json", "load-test report path")
-		ltWork   = flag.String("lt-workers", "1", "comma-separated worker counts to sweep")
-		ltCli    = flag.Int("lt-clients", 4, "concurrent load-test clients")
-		ltReq    = flag.Int("lt-requests", 32, "requests per load-test scenario")
-		ltN      = flag.Int("lt-n", 200, "load-test instance size")
-		ltKicks  = flag.Int64("lt-kicks", 30, "kick budget per load-test solve")
 	)
 	flag.Parse()
 
@@ -62,19 +46,6 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	context.AfterFunc(ctx, stop)
-
-	if *loadtest {
-		if err := runLoadtest(ctx, *out, *ltWork, serve.LoadConfig{
-			Clients:  *ltCli,
-			Requests: *ltReq,
-			N:        *ltN,
-			MaxKicks: *ltKicks,
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, "solved:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if err := cli.ServeDebug(*pprofAd, "", nil); err != nil {
 		fmt.Fprintln(os.Stderr, "solved:", err)
@@ -114,36 +85,4 @@ func main() {
 	}
 	hs.Shutdown(dctx)
 	fmt.Println("solved: drained; bye")
-}
-
-// runLoadtest sweeps the configured worker counts and writes the
-// BENCH_PR8.json report.
-func runLoadtest(ctx context.Context, out, workerList string, cfg serve.LoadConfig) error {
-	for _, f := range strings.Split(workerList, ",") {
-		w, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || w < 1 {
-			return fmt.Errorf("bad -lt-workers entry %q", f)
-		}
-		cfg.Workers = append(cfg.Workers, w)
-	}
-	fmt.Fprintf(os.Stderr, "solved: load test sweeping workers=%v clients=%d requests=%d n=%d\n",
-		cfg.Workers, cfg.Clients, cfg.Requests, cfg.N)
-	rep, err := serve.RunLoad(ctx, cfg)
-	if err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	for _, sc := range rep.Scenarios {
-		fmt.Printf("solved: %-8s workers=%d  %6.1f req/s  p50=%.1fms p95=%.1fms p99=%.1fms  (%d ok, %d shed, %d cache hits)\n",
-			sc.Name, sc.Workers, sc.ThroughputRPS, sc.Latency.P50, sc.Latency.P95, sc.Latency.P99,
-			sc.Completed, sc.Rejected, sc.CacheHits)
-	}
-	fmt.Fprintf(os.Stderr, "solved: wrote %s\n", out)
-	return nil
 }

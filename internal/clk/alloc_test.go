@@ -54,8 +54,8 @@ func TestKickLoopZeroAllocPerCandidateStrategy(t *testing.T) {
 
 // TestKickOnceMatchesSeededBaseline guards reproducibility: identical
 // seeds must give identical kick sequences and incumbent lengths run over
-// run, which the benchmark harness relies on to compare BENCH_*.json
-// snapshots across commits.
+// run, which the root kick benchmarks rely on: their "tourlen" metric
+// must be comparable commit over commit.
 func TestKickOnceMatchesSeededBaseline(t *testing.T) {
 	run := func() []int64 {
 		in := tsp.Generate(tsp.FamilyDrill, 300, 11)

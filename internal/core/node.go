@@ -107,6 +107,7 @@ type Stats struct {
 type Node struct {
 	ID     int
 	cfg    Config
+	inst   *tsp.Instance
 	group  *clk.Group  // the in-node workers
 	solver *clk.Solver // worker 0: the node's perturbed chain
 	comm   Comm
@@ -146,6 +147,7 @@ func NewNode(id int, inst *tsp.Instance, cfg Config, comm Comm, seed int64) *Nod
 	n := &Node{
 		ID:     id,
 		cfg:    cfg,
+		inst:   inst,
 		group:  g,
 		solver: g.Worker(0),
 		comm:   comm,
@@ -273,7 +275,7 @@ func (n *Node) Step(ctx context.Context) bool {
 	fromLocal := true
 	bestFrom := -1
 	for _, in := range received {
-		if in.Length < bestLen {
+		if in.Length < bestLen && n.honest(in) {
 			bestLen = in.Length
 			bestTour = in.Tour
 			fromLocal = false
@@ -356,6 +358,18 @@ func (n *Node) CrashRecover() {
 	for i := 1; i < n.group.Workers(); i++ {
 		n.group.Worker(i).SetTour(n.sBest)
 	}
+}
+
+// honest recomputes a received tour before it may win SELECTBESTTOUR: a
+// peer's claimed length is not trusted. A tour that is not a permutation,
+// or whose length differs from the claim, is dropped and recorded. This
+// is O(n), paid only by tours that would otherwise win.
+func (n *Node) honest(in Incoming) bool {
+	if in.Tour.Validate(n.inst.N()) == nil && in.Tour.Length(n.inst) == in.Length {
+		return true
+	}
+	n.rec.LengthMismatch(in.Length, in.From)
+	return false
 }
 
 func (n *Node) broadcast(t tsp.Tour, length int64) {

@@ -184,6 +184,47 @@ func TestReceivedBetterTourAdoptedNotRebroadcast(t *testing.T) {
 	_ = helperStats
 }
 
+// TestLyingPeerTourRejected delivers a real tour whose claimed length is
+// far shorter than its true one. SELECTBESTTOUR must recompute it and
+// drop it: the node keeps its own best, which matches its recomputed
+// length, and records the lie once.
+func TestLyingPeerTourRejected(t *testing.T) {
+	in := smallInstance(60, 11)
+	comm := &recordingComm{}
+	cfg := DefaultConfig()
+	cfg.KicksPerCall = 5
+	node := NewNode(0, in, cfg, comm, 5)
+	sink := observe(node)
+
+	lie := tsp.IdentityTour(in.N())
+	claimed := lie.Length(in) / 10
+	comm.pending = append(comm.pending, Incoming{From: 7, Tour: lie, Length: claimed})
+	node.Run(testCtx(t, 10*time.Second), Budget{MaxIterations: 1})
+
+	best, bestLen := node.Best()
+	if bestLen == claimed {
+		t.Fatalf("node adopted the lying peer's claimed length %d", claimed)
+	}
+	if got := best.Length(in); got != bestLen {
+		t.Fatalf("node best claims %d, recomputed %d", bestLen, got)
+	}
+	mismatches := 0
+	for _, e := range sink.Events() {
+		switch e.Kind {
+		case obs.KindLengthMismatch:
+			mismatches++
+			if e.Node != 0 || e.From != 7 || e.Value != claimed {
+				t.Errorf("length-mismatch event = %+v, want node 0, from 7, value %d", e, claimed)
+			}
+		case obs.KindImproveReceived:
+			t.Errorf("node adopted a received tour: %+v", e)
+		}
+	}
+	if mismatches != 1 {
+		t.Fatalf("got %d length-mismatch events, want 1", mismatches)
+	}
+}
+
 func TestEventsTimeline(t *testing.T) {
 	in := smallInstance(120, 13)
 	node := NewNode(0, in, DefaultConfig(), NopComm{}, 7)

@@ -92,6 +92,11 @@ const (
 	// from the same sender; only the better survived. Node = receiver,
 	// From = sender, Value = surviving length.
 	KindCoalesced
+	// KindLengthMismatch: a received tour that would have won
+	// SELECTBESTTOUR was dropped because its recomputed length differs
+	// from the sender's claim (or it is not a permutation). Node =
+	// receiver, From = sender, Value = claimed length.
+	KindLengthMismatch
 
 	numKinds
 )
@@ -122,6 +127,7 @@ var kindNames = [numKinds]string{
 	"delta-sent",
 	"delta-gap",
 	"coalesced",
+	"length-mismatch",
 }
 
 // String names the kind; these names are the event-stream vocabulary.

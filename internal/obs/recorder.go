@@ -289,6 +289,15 @@ func (r *Recorder) CoalescedMsg(length int64, from int) {
 	r.emit(KindCoalesced, length, from)
 }
 
+// LengthMismatch records a received tour dropped because it is not what
+// its sender claimed; claimed is the sender's length, from the sender.
+func (r *Recorder) LengthMismatch(claimed int64, from int) {
+	if r == nil {
+		return
+	}
+	r.emit(KindLengthMismatch, claimed, from)
+}
+
 // Optimum records that the node reached the target length.
 func (r *Recorder) Optimum(length int64) {
 	if r == nil {

@@ -98,17 +98,17 @@ func runTable1(r *Runner, e *Experiment) (*Artifact, error) {
 			return nil, err
 		}
 		ref := minI(bestFinal(clkRuns), minI(bestFinal(traces(one)), bestFinal(traces(eight))))
-		bestFactor, bestLevel := math.NaN(), 0.0
+		var reaches []levelReach
 		for _, lv := range levelsByInstance[name] {
 			target := int64(float64(ref) * (1 + lv/100))
 			ck, cn := meanReach(clkRuns, target)
 			t1, n1 := meanReach(traces(one), target)
 			t8, n8 := meanReach(traces(eight), target)
+			lr := levelReach{level: lv, t1: t1, n1: n1, t8: t8, n8: n8}
+			reaches = append(reaches, lr)
 			factor := "-"
-			if n1 > 0 && n8 > 0 && t8 > 0 {
-				f := stats.Ratio(t1, t8)
-				factor = fmt.Sprintf("%.2f", f)
-				bestFactor, bestLevel = f, lv // levels tighten monotonically
+			if lr.hasFactor() {
+				factor = fmt.Sprintf("%.2f", stats.Ratio(t1, t8))
 			}
 			tbl.AddRow(name, fmt.Sprintf("+%.1f%%", lv),
 				workCell(ck, cn, "%.0f"), workCell(msVal(t1), n1, "%.1f"),
@@ -118,12 +118,7 @@ func runTable1(r *Runner, e *Experiment) (*Artifact, error) {
 				workCell(msVal(t8), n8, "%.1f"), factor)
 		}
 		b := e.Baselines[bi]
-		repro := "no level reached by both cluster sizes"
-		ok := false
-		if !math.IsNaN(bestFactor) {
-			repro = fmt.Sprintf("factor %.2f at level +%.1f%%", bestFactor, bestLevel)
-			ok = bestFactor > 1
-		}
+		repro, ok := table1Verdict(reaches)
 		deltas = append(deltas, Delta{Exp: e.ID, Row: b.Row, Metric: b.Metric,
 			Paper: b.Paper, Repro: repro, Claim: b.Claim, OK: ok})
 	}
@@ -131,6 +126,42 @@ func runTable1(r *Runner, e *Experiment) (*Artifact, error) {
 		"reference = best tour over all runs of the instance; CLK runs 10x the per-node kicks of the 8-node cluster (the paper's budget ratio); the CLK column is kicks, not ms — axes are deliberately work-denominated.",
 	}
 	return &Artifact{Exp: e, Body: sectionBody(e, []*Table{tbl}, notes), CSVs: []CSVFile{csv}, Deltas: deltas}, nil
+}
+
+// levelReach is one Table 1 quality level: the mean virtual µs per node
+// that the 1- and 8-node clusters need to reach it, over the n1/n8 runs
+// that do.
+type levelReach struct {
+	level  float64
+	t1, t8 float64
+	n1, n8 int
+}
+
+// hasFactor reports whether both cluster sizes reach the level and the
+// 8-node cluster needs search to do it, so t1/t8 is a speed-up.
+func (l levelReach) hasFactor() bool { return l.n1 > 0 && l.n8 > 0 && l.t8 > 0 }
+
+// table1Verdict judges the speed-up claim at the tightest level with a
+// factor (levels tighten monotonically). A level the 8-node cluster
+// meets during set-up (t8 == 0) is reported as such but never passes: a
+// level met by construction says nothing about the EA's speed-up.
+func table1Verdict(levels []levelReach) (repro string, ok bool) {
+	for i := len(levels) - 1; i >= 0; i-- {
+		if l := levels[i]; l.hasFactor() {
+			f := stats.Ratio(l.t1, l.t8)
+			return fmt.Sprintf("factor %.2f at level +%.1f%%", f, l.level), f > 1
+		}
+	}
+	for i := len(levels) - 1; i >= 0; i-- {
+		if l := levels[i]; l.n8 > 0 && l.t8 == 0 {
+			one := "1 node never"
+			if l.n1 > 0 {
+				one = fmt.Sprintf("1 node after %.0f ms", msVal(l.t1))
+			}
+			return fmt.Sprintf("8 nodes reach +%.1f%% during set-up; %s", l.level, one), false
+		}
+	}
+	return "no level reached by both cluster sizes", false
 }
 
 func runTable2(r *Runner, e *Experiment) (*Artifact, error) {
@@ -190,7 +221,7 @@ func runTable2(r *Runner, e *Experiment) (*Artifact, error) {
 			Claim: e.Baselines[1].Claim, OK: allDistBeatsML},
 	}
 	notes := []string{
-		"distance = gap over the best tour any solver found; baselines run with zero deadlines and fixed trial/kick budgets so their output is seed-deterministic — the wall-clock time columns of the paper's table live in the quick tier above.",
+		"distance = gap over the best tour any solver found; baselines run with zero deadlines and fixed trial/kick budgets so their output is seed-deterministic — the paper's wall-clock time columns have no deterministic counterpart and are left out.",
 	}
 	return &Artifact{Exp: e, Body: sectionBody(e, []*Table{tbl}, notes), CSVs: []CSVFile{csv}, Deltas: deltas}, nil
 }
@@ -286,8 +317,9 @@ func runTable4(r *Runner, e *Experiment) (*Artifact, error) {
 			return nil, err
 		}
 		row := []interface{}{name}
-		bestLate, geomLate := math.Inf(1), math.Inf(1)
-		for _, kick := range clk.AllKickStrategies {
+		late := make([]float64, len(clk.AllKickStrategies))
+		geom := -1
+		for i, kick := range clk.AllKickStrategies {
 			runs, err := r.CLKRuns(name, kick, e.CLKKicks, e.Runs, e.Seed)
 			if err != nil {
 				return nil, err
@@ -295,14 +327,12 @@ func runTable4(r *Runner, e *Experiment) (*Artifact, error) {
 			eg, lg := gapVal(meanAt(runs, early), hk), gapVal(meanAt(runs, e.CLKKicks), hk)
 			row = append(row, gapCell(meanAt(runs, early), hk), gapCell(meanAt(runs, e.CLKKicks), hk))
 			csv.AddRow(name, fmt.Sprintf("%v", kick), fmt.Sprintf("%.3f", eg), fmt.Sprintf("%.3f", lg))
-			if lg < bestLate {
-				bestLate = lg
-			}
+			late[i] = lg
 			if kick == clk.KickGeometric {
-				geomLate = lg
+				geom = i
 			}
 		}
-		if geomLate <= bestLate {
+		if strictlyBest(late, geom) {
 			geomNeverBest = false
 		}
 		tbl.AddRow(row...)
@@ -315,6 +345,21 @@ func runTable4(r *Runner, e *Experiment) (*Artifact, error) {
 		"mean distance to this repo's Held-Karp ascent bound (loose on clustered/drilling geometry — compare columns, not absolute values); early = 40 kicks, late = 400 kicks.",
 	}
 	return &Artifact{Exp: e, Body: sectionBody(e, []*Table{tbl}, notes), CSVs: []CSVFile{csv}, Deltas: deltas}, nil
+}
+
+// strictlyBest reports whether gaps[i] is below every other entry: a tie
+// with any other strategy is not "best". A NaN gap is never best and
+// never beats another.
+func strictlyBest(gaps []float64, i int) bool {
+	if math.IsNaN(gaps[i]) {
+		return false
+	}
+	for j, g := range gaps {
+		if j != i && g <= gaps[i] {
+			return false
+		}
+	}
+	return true
 }
 
 func runTable5(r *Runner, e *Experiment) (*Artifact, error) {
@@ -566,7 +611,7 @@ func runVariator(r *Runner, e *Experiment) (*Artifact, error) {
 		Comment: schemaComment(e, "smoke/variator.csv",
 			"columns: run, improvements (improve + improve-received events), max_level",
 			"  (highest NumPerturbations level), level_ups (perturb-level events > 1), restarts",
-			fmt.Sprintf("EA constants: c_v=%d, c_r=%d (quick-tier compression of the paper's 64/256)", smokeCV, smokeCR)),
+			fmt.Sprintf("EA constants: c_v=%d, c_r=%d (the smoke tier's compression of the paper's 64/256)", smokeCV, smokeCR)),
 		Header: []string{"run", "improvements", "max_level", "level_ups", "restarts"},
 	}
 	minMaxLevel := int64(1 << 62)
