@@ -21,11 +21,12 @@
 // (hier-hypercube or tree-of-rings keep the per-node degree flat) and the
 // exchange-protocol flags bound traffic: -delta sends tour diffs instead
 // of full tours (with a full keyframe every N deltas), -gossip replaces
-// neighbour broadcast with random fanout, and -batch coalesces queued or
-// in-window tours per sender. A 256-node virtual cluster:
+// neighbour broadcast with random fanout, and -batch coalesces undrained
+// tours per sender in the receiver's inbox, in every mode. A 256-node
+// virtual cluster:
 //
 //	distclk -standin E1k.1 -simnet -nodes 256 -topology tree-of-rings \
-//	        -delta 64 -batch 1ms -cv 4 -cr 16 -kpc 1 -viters 6
+//	        -delta 64 -batch -cv 4 -cr 16 -kpc 1 -viters 6
 //
 // Every node writes its local best; collect the minimum across nodes, as
 // the paper does.
@@ -66,7 +67,7 @@ func main() {
 		topoStr = flag.String("topology", "hypercube", "overlay: hypercube|ring|grid|complete|hier-hypercube|tree-of-rings")
 		deltaKF = flag.Int("delta", 0, "tour-diff exchange: full keyframe every N deltas (0 = off, send full tours)")
 		gossip  = flag.Int("gossip", 0, "gossip fanout: broadcast to N random peers instead of topology neighbours (0 = off; not available in TCP mode)")
-		batch   = flag.Duration("batch", 0, "coalesce queued tours per sender (TCP mode: batch outgoing broadcasts within this window; 0 = off)")
+		batch   = flag.Bool("batch", false, "coalesce undrained tours per sender: a receiver keeps only the best queued tour of each sender")
 		kick    = flag.String("kick", "random-walk", "kicking strategy")
 		cand    = flag.String("candidates", "", "candidate-set strategy: auto|knn|quadrant|alpha|delaunay (empty = engine default knn)")
 		relax   = flag.Int("relax", 0, "relaxed-gain depth: LK chain depths below it may carry a bounded non-positive partial gain (0 = classic rule)")
@@ -86,6 +87,13 @@ func main() {
 		metrics = flag.String("metrics", "", "serve a JSON counter snapshot on this address at /metrics")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		// A stray argument stops flag parsing, so every flag after it
+		// would be ignored silently.
+		fmt.Fprintf(os.Stderr, "distclk: unexpected argument %q\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	in, err := cli.LoadInstance(*tspPath, *standin, *family, *n, *seed)
 	if err != nil {
@@ -115,7 +123,7 @@ func main() {
 		KeyframeEvery: *deltaKF,
 		Gossip:        *gossip > 0,
 		Fanout:        *gossip,
-		Coalesce:      *batch > 0,
+		Coalesce:      *batch,
 	}
 	if *gossip > 0 && *hubAddr != "" {
 		fmt.Fprintln(os.Stderr, "distclk: -gossip is not available in TCP mode (nodes only know their hub-assigned neighbours)")
@@ -151,7 +159,7 @@ func main() {
 	if *simMode {
 		best, bestLen = runSimnet(ctx, in, kind, ea, ex, *nodes, *target, *seed, *simDrop, *simLat, *simIter)
 	} else if *hubAddr != "" {
-		best, bestLen, err = runTCPNode(ctx, in, *hubAddr, *listen, ea, ex, *batch, *target, *seed, *pprofAd, *metrics)
+		best, bestLen, err = runTCPNode(ctx, in, *hubAddr, *listen, ea, ex, *target, *seed, *pprofAd, *metrics)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "distclk:", err)
 			os.Exit(1)
@@ -228,27 +236,23 @@ func runSimnet(ctx context.Context, in *tsp.Instance, kind topology.Kind, ea cor
 	return res.BestTour, res.BestLength
 }
 
-func runTCPNode(ctx context.Context, in *tsp.Instance, hubAddr, listen string, ea core.Config, ex dist.ExchangeConfig, batch time.Duration, target, seed int64, pprofAd, metrics string) (tsp.Tour, int64, error) {
-	tn, err := dist.JoinTCPConfig(ctx, hubAddr, listen, in.N(), dist.TCPConfig{
-		Exchange:    ex,
-		BatchWindow: batch,
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	defer tn.Close()
-	fmt.Printf("node %d/%d: listening on %s, %d peers\n", tn.ID, tn.Total, tn.Addr(), tn.PeerCount())
-	node := core.NewNode(tn.ID, in, ea, tn, seed+int64(tn.ID)*1_000_000_007)
-	rec := obs.NewRecorder(tn.ID, obs.SinkFunc(func(e obs.Event) {
+func runTCPNode(ctx context.Context, in *tsp.Instance, hubAddr, listen string, ea core.Config, ex dist.ExchangeConfig, target, seed int64, pprofAd, metrics string) (tsp.Tour, int64, error) {
+	progress := obs.SinkFunc(func(e obs.Event) {
 		switch e.Kind {
 		case obs.KindImprove:
 			fmt.Printf("  %8.2fs  len %d\n", e.At.Seconds(), e.Value)
 		case obs.KindImproveReceived:
 			fmt.Printf("  %8.2fs  len %d (from node %d)\n", e.At.Seconds(), e.Value, e.From)
 		}
-	}))
-	node.SetRecorder(rec)
-	if err := cli.ServeDebug(pprofAd, metrics, func() any { return rec.Snapshot() }); err != nil {
+	})
+	tn, err := dist.JoinTCPConfig(ctx, hubAddr, listen, in.N(), dist.TCPConfig{Exchange: ex}, progress)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer tn.Close()
+	fmt.Printf("node %d/%d: listening on %s, %d peers\n", tn.ID, tn.Total, tn.Addr(), tn.PeerCount())
+	node := dist.NewNode(tn.ID, in, ea, tn, seed, tn.Recorder())
+	if err := cli.ServeDebug(pprofAd, metrics, func() any { return tn.Recorder().Snapshot() }); err != nil {
 		return nil, 0, err
 	}
 	stats := node.Run(ctx, core.Budget{Target: target})

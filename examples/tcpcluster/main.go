@@ -53,7 +53,7 @@ func main() {
 			cfg.KicksPerCall = 10
 			runCtx, cancel := context.WithTimeout(ctx, 4*time.Second)
 			defer cancel()
-			node := core.NewNode(tn.ID, in, cfg, tn, int64(idx+1))
+			node := dist.NewNode(tn.ID, in, cfg, tn, 1, tn.Recorder())
 			stats[idx] = node.Run(runCtx, core.Budget{})
 		}(i)
 	}

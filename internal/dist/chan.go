@@ -2,7 +2,6 @@ package dist
 
 import (
 	"math/rand"
-	"sync"
 	"sync/atomic"
 
 	"distclk/internal/core"
@@ -11,232 +10,60 @@ import (
 	"distclk/internal/tsp"
 )
 
-// ChanNetwork is the in-process network: every node is a goroutine and
-// tours travel through mutex-guarded per-node inboxes. It reproduces the
-// paper's communication pattern exactly (asynchronous broadcast to
-// topology neighbours, drain-on-demand) without sockets, so simulations
-// and tests are deterministic in structure and fast. With an
-// ExchangeConfig it additionally runs the scaled wire protocol:
-// tour-diff broadcast, queued-message coalescing, and gossip peer
-// sampling. Message-flow telemetry for the legacy path is not recorded
-// here: nodes emit broadcast-sent/received events through their
+// ChanNetwork is the in-process network: every node is a goroutine and a
+// tour travels as a function call from the sender's Exchange to the
+// receiver's, whose mutex guards its inbox. It reproduces the paper's
+// communication pattern exactly (asynchronous broadcast to topology
+// neighbours, drain-on-demand) without sockets, so simulations and tests
+// are deterministic in structure and fast. Message-flow telemetry is not
+// recorded here: nodes emit broadcast-sent/received events through their
 // obs.Recorder, which sees every transport identically.
 type ChanNetwork struct {
 	n       int
 	topo    topology.Kind
-	ex      ExchangeConfig
 	seed    int64
-	inboxes []*chanInbox
+	xs      []*Exchange
 	stopped atomic.Bool
-	drops   atomic.Int64
-
-	// obs, when set, receives an event (and bumps the receiver's MsgDrops
-	// counter) for every inbox-full drop, plus the delta/coalesce kinds
-	// when the exchange protocol is on. Set before handing out Comms.
-	obs *obs.Observer
 }
 
-// chanInbox is one node's receive side: queued messages plus, when delta
-// exchange is on, the per-sender reconstruction state. The mutex also
-// serializes decodes per (sender → receiver) stream, which preserves
-// generation order (each sender broadcasts from a single goroutine).
-type chanInbox struct {
-	mu   sync.Mutex
-	msgs []core.Incoming
-	decs map[int]*DeltaDecoder
-}
-
-// InboxCapacity is the per-node inbox bound. The EA drains its inbox
-// every iteration, so even aggressive broadcast rates stay far below
-// this; if a node stalls, excess tours are dropped (stale tours are
-// harmless — newer, better ones follow).
-const InboxCapacity = 1024
-
-// NewChanNetwork creates the network for n nodes on the given topology,
-// speaking the legacy full-tour protocol.
-func NewChanNetwork(n int, topo topology.Kind) *ChanNetwork {
-	return NewChanNetworkEx(n, topo, ExchangeConfig{}, 0)
-}
-
-// NewChanNetworkEx creates the network with an explicit exchange
-// protocol. seed feeds gossip peer sampling (per-node streams derive
-// from it), and is unused otherwise.
-func NewChanNetworkEx(n int, topo topology.Kind, ex ExchangeConfig, seed int64) *ChanNetwork {
-	nw := &ChanNetwork{
-		n:       n,
-		topo:    topo,
-		ex:      ex,
-		seed:    seed,
-		inboxes: make([]*chanInbox, n),
-	}
-	for i := range nw.inboxes {
-		nw.inboxes[i] = &chanInbox{}
-		if ex.Delta {
-			nw.inboxes[i].decs = make(map[int]*DeltaDecoder, 4)
-		}
+// NewChanNetwork creates the network for n nodes on the given topology.
+// ex selects the exchange protocol; seed feeds gossip peer sampling
+// (per-node streams derive from it). Node i's exchange events go to
+// o.Recorder(i); o may be nil.
+func NewChanNetwork(n int, topo topology.Kind, ex ExchangeConfig, seed int64, o *obs.Observer) *ChanNetwork {
+	nw := &ChanNetwork{n: n, topo: topo, seed: seed, xs: make([]*Exchange, n)}
+	for i := range nw.xs {
+		nw.xs[i] = NewExchange(i, ex, InboxCapacity, o.Recorder(i))
 	}
 	return nw
 }
 
 // Comm returns node id's view of the network.
 func (nw *ChanNetwork) Comm(id int) core.Comm {
-	c := &chanComm{nw: nw, id: id, neighbors: topology.Neighbors(nw.topo, nw.n, id)}
-	if nw.ex.Delta {
-		c.encs = make(map[int]*DeltaEncoder, len(c.neighbors))
+	return &chanComm{
+		nw:        nw,
+		x:         nw.xs[id],
+		neighbors: topology.Neighbors(nw.topo, nw.n, id),
+		rng:       rand.New(rand.NewSource(nw.seed ^ (int64(id)+1)*0x9E3779B9)),
 	}
-	if nw.ex.Gossip {
-		c.rng = rand.New(rand.NewSource(nw.seed ^ (int64(id)+1)*0x9E3779B9))
-	}
-	return c
-}
-
-// SetObserver attaches the run's observer so inbox-full drops (and the
-// delta/coalesce exchange events) surface as obs events instead of only
-// counters. The observer must have at least n recorders. Call before any
-// Comm is used.
-func (nw *ChanNetwork) SetObserver(o *obs.Observer) { nw.obs = o }
-
-// Drops reports how many tours were discarded on full inboxes.
-func (nw *ChanNetwork) Drops() int64 { return nw.drops.Load() }
-
-func (nw *ChanNetwork) recorder(id int) *obs.Recorder {
-	if nw.obs == nil {
-		return nil
-	}
-	return nw.obs.Recorder(id)
 }
 
 type chanComm struct {
 	nw        *ChanNetwork
-	id        int
+	x         *Exchange
 	neighbors []int
-	encs      map[int]*DeltaEncoder // per-peer send streams; single-goroutine
-	rng       *rand.Rand            // gossip peer sampling; single-goroutine
+	rng       *rand.Rand // gossip peer sampling; single-goroutine
 }
 
-// Broadcast sends the tour to every topology neighbour — or, in gossip
-// mode, to a random sample of the whole cluster.
+// Broadcast hands one message per peer to that peer's exchange.
 func (c *chanComm) Broadcast(t tsp.Tour, length int64) {
-	peers := c.neighbors
-	if c.rng != nil {
-		peers = SamplePeers(c.rng, c.nw.n, c.id, c.nw.ex.GossipFanout(), nil)
+	for _, o := range c.x.Peers(c.neighbors, c.nw.n, c.rng) {
+		c.nw.xs[o].Receive(c.x.Encode(o, t, length))
 	}
-	for _, o := range peers {
-		c.send(o, t, length)
-	}
-}
-
-// send delivers one copy to peer o, running the delta codec and
-// coalescing rules when configured.
-func (c *chanComm) send(o int, t tsp.Tour, length int64) {
-	nw := c.nw
-	msg := core.Incoming{From: c.id, Length: length}
-	if c.encs != nil {
-		enc := c.encs[o]
-		if enc == nil {
-			enc = &DeltaEncoder{}
-			c.encs[o] = enc
-		}
-		w := enc.Encode(c.id, t, length, nw.ex.Keyframe())
-		bytes := int64(w.WireBytes())
-		if w.Full {
-			nw.recorder(c.id).FullSent(bytes, o)
-		} else {
-			nw.recorder(c.id).DeltaSent(bytes, o)
-		}
-		// Decode on the receiver's stream state under its inbox lock:
-		// in-process "transmission" is the codec round-trip itself.
-		ib := nw.inboxes[o]
-		ib.mu.Lock()
-		dec := ib.decs[c.id]
-		if dec == nil {
-			dec = &DeltaDecoder{}
-			ib.decs[c.id] = dec
-		}
-		tour, ok := dec.Decode(w)
-		if !ok {
-			ib.mu.Unlock()
-			nw.recorder(o).DeltaGap(c.id)
-			return
-		}
-		msg.Tour = tour
-		nw.enqueueLocked(ib, o, msg)
-		ib.mu.Unlock()
-		return
-	}
-	msg.Tour = t.Clone()
-	ib := nw.inboxes[o]
-	ib.mu.Lock()
-	nw.enqueueLocked(ib, o, msg)
-	ib.mu.Unlock()
-}
-
-// enqueueLocked applies coalescing and the capacity bound; the caller
-// holds ib.mu.
-func (nw *ChanNetwork) enqueueLocked(ib *chanInbox, o int, msg core.Incoming) {
-	if nw.ex.Coalesce {
-		for i := range ib.msgs {
-			if ib.msgs[i].From != msg.From {
-				continue
-			}
-			// Keep the better of the queued and the new tour; a batch
-			// window here is "until the receiver next drains".
-			if msg.Length < ib.msgs[i].Length {
-				ib.msgs[i] = msg
-			}
-			nw.recorder(o).CoalescedMsg(ib.msgs[i].Length, msg.From)
-			return
-		}
-	}
-	if len(ib.msgs) >= InboxCapacity {
-		nw.drops.Add(1)
-		if rec := nw.recorder(o); rec != nil {
-			// Attribute the drop to the receiver whose inbox is full;
-			// MsgDropped is safe from the sender's goroutine.
-			rec.MsgDropped(msg.Length, msg.From)
-		}
-		return
-	}
-	ib.msgs = append(ib.msgs, msg)
-}
-
-// SamplePeers draws k distinct gossip peers ≠ self from [0, n) using
-// the caller's rand stream (simnet passes its single-threaded fault rng
-// so replays stay deterministic). The optional scratch slice lets
-// single-threaded callers avoid reallocation.
-func SamplePeers(rng *rand.Rand, n, self, k int, scratch []int) []int {
-	if k > n-1 {
-		k = n - 1
-	}
-	out := scratch[:0]
-	for len(out) < k {
-		p := rng.Intn(n - 1)
-		if p >= self {
-			p++
-		}
-		dup := false
-		for _, q := range out {
-			if q == p {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 // Drain empties the node's inbox.
-func (c *chanComm) Drain() []core.Incoming {
-	ib := c.nw.inboxes[c.id]
-	ib.mu.Lock()
-	out := ib.msgs
-	ib.msgs = nil
-	ib.mu.Unlock()
-	return out
-}
+func (c *chanComm) Drain() []core.Incoming { return c.x.Drain() }
 
 // AnnounceOptimum stops the whole network (the paper's criterion (2)).
 func (c *chanComm) AnnounceOptimum(int64) { c.nw.stopped.Store(true) }

@@ -32,7 +32,7 @@ func TestTCPPeerDeath(t *testing.T) {
 	tcpNodes := make([]*TCPNode, nodes)
 	for i := range tcpNodes {
 		n, err := JoinTCPConfig(ctx, hub.Addr(), "127.0.0.1:0", in.N(),
-			TCPConfig{IOTimeout: 2 * time.Second})
+			TCPConfig{IOTimeout: 2 * time.Second}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,13 +52,8 @@ func TestTCPPeerDeath(t *testing.T) {
 	// eventually errors and removes it without wedging the sender.
 	tour := tsp.IdentityTour(in.N())
 	tcpNodes[0].Broadcast(tour, 7)
-	select {
-	case msg := <-tcpNodes[1].Incoming():
-		if msg.From != tcpNodes[0].ID || msg.Length != 7 {
-			t.Fatalf("survivor got unexpected message %v", msg)
-		}
-	case <-ctx.Done():
-		t.Fatal("survivor stopped receiving after peer death")
+	if msg := drainOne(ctx, t, tcpNodes[1]); msg.From != tcpNodes[0].ID || msg.Length != 7 {
+		t.Fatalf("survivor got unexpected message %v", msg)
 	}
 	tcpNodes[0].Close()
 	tcpNodes[1].Close()
@@ -96,9 +91,7 @@ func TestTCPDuplicateOptimumAnnouncements(t *testing.T) {
 	tcpNodes[0].AnnounceOptimum(100)
 	tcpNodes[1].AnnounceOptimum(100)
 	for i, n := range tcpNodes {
-		select {
-		case <-n.StoppedChan():
-		case <-ctx.Done():
+		if !poll(ctx, n.Stopped) {
 			t.Fatalf("optimum flood did not reach node %d", i)
 		}
 	}

@@ -25,22 +25,16 @@ type ClusterConfig struct {
 	// matching the paper's per-node CPU-time limit). Wall-clock limits come
 	// from the RunCluster context.
 	Budget core.Budget
-	// Seed derives per-node seeds (node i uses Seed + i*1e9+7i).
+	// Seed derives per-node seeds (see NewNode).
 	Seed int64
 	// Exchange selects the wire protocol (tour-diff broadcast, queued
 	// message coalescing, gossip peer sampling). The zero value is the
-	// legacy full-tour protocol. Ignored when Net is supplied — the
-	// caller configures its own transport then.
+	// full-tour protocol.
 	Exchange ExchangeConfig
 	// Obs, when set, supplies the run's observer (it must have at least
 	// Nodes recorders). When nil, RunCluster creates one internally so
 	// events and counters are always available on the result.
 	Obs *obs.Observer
-	// Net, when set, supplies the transport. It must be safe for concurrent
-	// goroutine-per-node use (ChanNetwork is; simnet.Network is not — its
-	// virtual clock needs simnet.Run's single-threaded event loop). When
-	// nil, a ChanNetwork over Topo is created.
-	Net Network
 }
 
 // ClusterResult aggregates a distributed run.
@@ -68,6 +62,32 @@ func (r ClusterResult) Broadcasts() int64 {
 	return total
 }
 
+// NewNode builds node id of a cluster run seeded with seed, with rec
+// attached. Its search seed is seed + id·1,000,000,007 on every
+// transport, so node i of a simnet run, an in-process cluster and a TCP
+// deployment search from the same seed.
+func NewNode(id int, inst *tsp.Instance, ea core.Config, comm core.Comm, seed int64, rec *obs.Recorder) *core.Node {
+	node := core.NewNode(id, inst, ea, comm, seed+int64(id)*1_000_000_007)
+	node.SetRecorder(rec)
+	return node
+}
+
+// ShareCandidates returns ea with candidate lists built, if it has none.
+// The lists are identical across nodes (a deterministic build on a shared
+// instance), so a cluster builds them once. The paper's machines each
+// computed their own, but each had a dedicated CPU; in a time-shared
+// simulation the duplicated set-up would unfairly tax the cluster.
+func ShareCandidates(inst *tsp.Instance, ea core.Config) core.Config {
+	if ea.CLK.Neighbors == nil {
+		k := ea.CLK.NeighborK
+		if k == 0 {
+			k = clk.DefaultParams().NeighborK
+		}
+		ea.CLK.Neighbors = neighbor.Build(inst, k)
+	}
+	return ea
+}
+
 // RunCluster executes the distributed algorithm with one goroutine per node
 // over an in-process channel network and returns the aggregated result.
 // The best result "has to be collected from the local output of each node"
@@ -79,38 +99,19 @@ func RunCluster(ctx context.Context, inst *tsp.Instance, cfg ClusterConfig) Clus
 		cfg.Nodes = 8
 	}
 	start := time.Now()
-	// Candidate lists are identical across nodes (deterministic build on a
-	// shared instance), so build them once. The paper's machines each
-	// computed their own, but each had a dedicated CPU; in a time-shared
-	// simulation the duplicated setup would unfairly tax the cluster.
-	if cfg.EA.CLK.Neighbors == nil {
-		k := cfg.EA.CLK.NeighborK
-		if k == 0 {
-			k = clk.DefaultParams().NeighborK
-		}
-		cfg.EA.CLK.Neighbors = neighbor.Build(inst, k)
-	}
+	cfg.EA = ShareCandidates(inst, cfg.EA)
 	observer := cfg.Obs
 	if observer == nil {
 		observer = obs.NewObserver(cfg.Nodes, nil)
 	}
-	nw := cfg.Net
-	if nw == nil {
-		nw = NewChanNetworkEx(cfg.Nodes, cfg.Topo, cfg.Exchange, cfg.Seed)
-	}
-	if on, ok := nw.(ObservableNetwork); ok {
-		on.SetObserver(observer)
-	}
+	nw := NewChanNetwork(cfg.Nodes, cfg.Topo, cfg.Exchange, cfg.Seed, observer)
 
 	nodes := make([]*core.Node, cfg.Nodes)
 	stats := make([]core.Stats, cfg.Nodes)
 
 	var wg sync.WaitGroup
 	for i := 0; i < cfg.Nodes; i++ {
-		seed := cfg.Seed + int64(i)*1_000_000_007
-		node := core.NewNode(i, inst, cfg.EA, nw.Comm(i), seed)
-		node.SetRecorder(observer.Recorder(i))
-		nodes[i] = node
+		nodes[i] = NewNode(i, inst, cfg.EA, nw.Comm(i), cfg.Seed, observer.Recorder(i))
 		wg.Add(1)
 		go func(idx int) {
 			defer wg.Done()

@@ -16,13 +16,13 @@ import (
 // on first contact, on a keyframe cadence, whenever the diff would not be
 // smaller, and implicitly after a crash/restart or TCP reconnect (fresh
 // codec state on either side shows up as a generation gap that the next
-// keyframe heals). The codec is transport-agnostic: ChanNetwork, the TCP
-// transport, and simnet all run the same encoder/decoder pair, which is
-// why simnet's fault matrix doubles as the wire-protocol harness.
+// keyframe heals). The codec is transport-agnostic: every transport runs
+// it through the node's Exchange, which is why simnet's fault matrix
+// doubles as the wire-protocol harness.
 
 // ExchangeConfig selects how tours travel between nodes. The zero value
-// is the legacy protocol — full tour to every topology neighbour on
-// every broadcast — which existing runs replay byte-identically.
+// is the full-tour protocol — full tour to every topology neighbour on
+// every broadcast. Exchange applies it.
 type ExchangeConfig struct {
 	// Delta turns on tour-diff broadcast with full-tour fallback.
 	Delta bool
@@ -37,9 +37,10 @@ type ExchangeConfig struct {
 	// Fanout is the number of peers sampled per gossip broadcast
 	// (0 = DefaultFanout). Ignored unless Gossip is set.
 	Fanout int
-	// Coalesce merges queued undrained tours per sender, keeping only
-	// the best — the batching window is "until the receiver next
-	// drains", which bounds inbox growth at high node counts.
+	// Coalesce merges queued undrained tours per sender in the
+	// receiver's inbox, keeping only the best — the batching window is
+	// "until the receiver next drains", which bounds inbox growth at high
+	// node counts (cmd/distclk -batch).
 	Coalesce bool
 }
 

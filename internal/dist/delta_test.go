@@ -220,9 +220,8 @@ func TestDecoderRejectsCorruptPermutation(t *testing.T) {
 // and checks reconstruction plus the obs counters.
 func TestChanNetworkDeltaExchange(t *testing.T) {
 	ex := ExchangeConfig{Delta: true, KeyframeEvery: 8}
-	nw := NewChanNetworkEx(2, topology.Ring, ex, 1)
 	observer := obs.NewObserver(2, nil)
-	nw.SetObserver(observer)
+	nw := NewChanNetwork(2, topology.Ring, ex, 1, observer)
 	sender, receiver := nw.Comm(0), nw.Comm(1)
 
 	rng := rand.New(rand.NewSource(23))
@@ -250,9 +249,8 @@ func TestChanNetworkDeltaExchange(t *testing.T) {
 // to the single best one.
 func TestChanNetworkCoalesce(t *testing.T) {
 	ex := ExchangeConfig{Coalesce: true}
-	nw := NewChanNetworkEx(2, topology.Ring, ex, 1)
 	observer := obs.NewObserver(2, nil)
-	nw.SetObserver(observer)
+	nw := NewChanNetwork(2, topology.Ring, ex, 1, observer)
 	sender, receiver := nw.Comm(0), nw.Comm(1)
 
 	rng := rand.New(rand.NewSource(29))
@@ -278,7 +276,7 @@ func TestChanNetworkCoalesce(t *testing.T) {
 func TestChanNetworkGossipSamplesWholeCluster(t *testing.T) {
 	const n = 16
 	ex := ExchangeConfig{Gossip: true, Fanout: 3}
-	nw := NewChanNetworkEx(n, topology.Ring, ex, 42)
+	nw := NewChanNetwork(n, topology.Ring, ex, 42, nil)
 	comms := make([]core.Comm, n)
 	for i := range comms {
 		comms[i] = nw.Comm(i)
@@ -347,12 +345,12 @@ func tcpPair(t *testing.T, instN int, cfg TCPConfig) (*TCPNode, *TCPNode) {
 	t.Cleanup(func() { hub.Close() })
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	t.Cleanup(cancel)
-	a, err := JoinTCPConfig(ctx, hub.Addr(), "127.0.0.1:0", instN, cfg)
+	a, err := JoinTCPConfig(ctx, hub.Addr(), "127.0.0.1:0", instN, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { a.Close() })
-	b, err := JoinTCPConfig(ctx, hub.Addr(), "127.0.0.1:0", instN, cfg)
+	b, err := JoinTCPConfig(ctx, hub.Addr(), "127.0.0.1:0", instN, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,26 +371,20 @@ func TestTCPDeltaExchange(t *testing.T) {
 	const n = 70
 	cfg := TCPConfig{Exchange: ExchangeConfig{Delta: true, KeyframeEvery: 32}}
 	a, b := tcpPair(t, n, cfg)
-	rec := obs.NewRecorder(a.ID, nil)
-	a.SetRecorder(rec)
+	ctx := testCtx(t, 20*time.Second)
 
 	rng := rand.New(rand.NewSource(37))
 	cur := randTour(rng, n)
-	deadline := time.After(20 * time.Second)
 	for i := 0; i < 12; i++ {
 		a.Broadcast(cur, int64(900-i))
-		select {
-		case m := <-b.Incoming():
-			if m.From != a.ID || m.Length != int64(900-i) {
-				t.Fatalf("round %d: unexpected message from=%d len=%d", i, m.From, m.Length)
-			}
-			wantWire(t, fmt.Sprintf("round %d", i), m.Tour, cur)
-		case <-deadline:
-			t.Fatalf("round %d: no delivery", i)
+		m := drainOne(ctx, t, b)
+		if m.From != a.ID || m.Length != int64(900-i) {
+			t.Fatalf("round %d: unexpected message from=%d len=%d", i, m.From, m.Length)
 		}
+		wantWire(t, fmt.Sprintf("round %d", i), m.Tour, cur)
 		mutate(rng, cur, 2)
 	}
-	snap := rec.Snapshot()
+	snap := a.Recorder().Snapshot()
 	// 12 sends: only the first is full. One seeded mutation flips the
 	// canonical orientation (a reversal through city 0's neighbourhood),
 	// but the encoder diffs both orientations and keeps the small one,
@@ -402,41 +394,51 @@ func TestTCPDeltaExchange(t *testing.T) {
 	}
 }
 
-// TestTCPBatchWindowCoalesces: tours sent within one batch window
-// collapse to the single best on the wire.
-func TestTCPBatchWindowCoalesces(t *testing.T) {
+// TestTCPCoalesceOnReceive: TCP applies Coalesce where the other
+// transports do, in the receiver's inbox. Three tours from one sender
+// before a Drain leave the best queued, counted on the receiver.
+func TestTCPCoalesceOnReceive(t *testing.T) {
 	const n = 40
-	cfg := TCPConfig{BatchWindow: 150 * time.Millisecond}
-	a, b := tcpPair(t, n, cfg)
-	rec := obs.NewRecorder(a.ID, nil)
-	a.SetRecorder(rec)
+	a, b := tcpPair(t, n, TCPConfig{Exchange: ExchangeConfig{Coalesce: true}})
+	ctx := testCtx(t, 20*time.Second)
 
 	rng := rand.New(rand.NewSource(41))
 	worse, better := randTour(rng, n), randTour(rng, n)
 	a.Broadcast(worse, 800)
-	a.Broadcast(better, 600) // same window: replaces the queued tour
-	a.Broadcast(worse, 700)  // same window: loses to the queued best
+	a.Broadcast(better, 600) // replaces the queued tour
+	a.Broadcast(worse, 700)  // loses to the queued best
+	if !poll(ctx, func() bool { return b.Recorder().Snapshot().Coalesced == 2 }) {
+		t.Fatalf("receiver coalesced %d tours, want 2", b.Recorder().Snapshot().Coalesced)
+	}
+	got := b.Drain()
+	if len(got) != 1 || got[0].Length != 600 {
+		t.Fatalf("drained %v, want the one best tour (600)", got)
+	}
+	for j := range better {
+		if got[0].Tour[j] != better[j] {
+			t.Fatalf("survivor tour differs at %d", j)
+		}
+	}
+	if c := a.Recorder().Snapshot().Coalesced; c != 0 {
+		t.Fatalf("sender counted %d coalesced tours, want 0", c)
+	}
+}
 
-	select {
-	case m := <-b.Incoming():
-		if m.Length != 600 {
-			t.Fatalf("survivor length %d, want 600", m.Length)
-		}
-		for j := range better {
-			if m.Tour[j] != better[j] {
-				t.Fatalf("survivor tour differs at %d", j)
-			}
-		}
-	case <-time.After(20 * time.Second):
-		t.Fatal("batched broadcast never flushed")
+// TestTCPInboxOverflowCountsDrops: a TCP inbox drops what exceeds its
+// capacity and counts each drop on the receiver, as ChanNetwork does.
+func TestTCPInboxOverflowCountsDrops(t *testing.T) {
+	const n = 10
+	a, b := tcpPair(t, n, TCPConfig{})
+	ctx := testCtx(t, 20*time.Second)
+
+	tour := tsp.IdentityTour(n)
+	for i := 0; i < InboxCapacity+10; i++ {
+		a.Broadcast(tour, int64(i))
 	}
-	// Nothing else should arrive: the window coalesced three sends to one.
-	select {
-	case m := <-b.Incoming():
-		t.Fatalf("unexpected second delivery len=%d", m.Length)
-	case <-time.After(400 * time.Millisecond):
+	if !poll(ctx, func() bool { return b.Recorder().Snapshot().MsgDrops == 10 }) {
+		t.Fatalf("receiver counted %d drops, want 10", b.Recorder().Snapshot().MsgDrops)
 	}
-	if c := rec.Snapshot().Coalesced; c != 2 {
-		t.Fatalf("coalesced=%d, want 2", c)
+	if got := b.Drain(); len(got) != InboxCapacity {
+		t.Fatalf("drained %d, want %d", len(got), InboxCapacity)
 	}
 }

@@ -42,7 +42,7 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestReadFrameRejectsOversized(t *testing.T) {
 	var buf bytes.Buffer
-	buf.Write([]byte{msgTour, 0xff, 0xff, 0xff, 0xff})
+	buf.Write([]byte{msgTourFull, 0xff, 0xff, 0xff, 0xff})
 	if _, _, err := readFrame(&buf); err == nil {
 		t.Fatal("oversized frame accepted")
 	}
@@ -54,18 +54,17 @@ func TestTourCodecRoundTrip(t *testing.T) {
 		n := 1 + rng.Intn(500)
 		tour := tsp.IdentityTour(n)
 		rng.Shuffle(n, func(i, j int) { tour[i], tour[j] = tour[j], tour[i] })
-		from := rng.Intn(64)
-		length := rng.Int63()
-		buf := encodeTour(from, length, tour)
-		gotFrom, gotLen, gotTour, err := decodeTour(buf)
+		w := WireTour{From: rng.Intn(64), Length: rng.Int63(), N: n, Full: true, Tour: tour}
+		typ, buf := encodeWireTour(w)
+		got, err := decodeWireTour(typ, buf, n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if gotFrom != from || gotLen != length || len(gotTour) != n {
-			t.Fatalf("header mismatch: %d/%d/%d", gotFrom, gotLen, len(gotTour))
+		if got.From != w.From || got.Length != w.Length || len(got.Tour) != n {
+			t.Fatalf("header mismatch: %d/%d/%d", got.From, got.Length, len(got.Tour))
 		}
 		for i := range tour {
-			if tour[i] != gotTour[i] {
+			if tour[i] != got.Tour[i] {
 				t.Fatal("tour corrupted in codec")
 			}
 		}
@@ -73,13 +72,16 @@ func TestTourCodecRoundTrip(t *testing.T) {
 }
 
 func TestTourCodecRejectsCorrupt(t *testing.T) {
-	tour := tsp.IdentityTour(10)
-	buf := encodeTour(1, 100, tour)
-	if _, _, _, err := decodeTour(buf[:len(buf)-3]); err == nil {
+	typ, buf := encodeWireTour(WireTour{From: 1, Length: 100, N: 10, Full: true, Tour: tsp.IdentityTour(10)})
+	if _, err := decodeWireTour(typ, buf[:len(buf)-3], 10); err == nil {
 		t.Fatal("truncated tour accepted")
 	}
-	if _, _, _, err := decodeTour(buf[:8]); err == nil {
+	if _, err := decodeWireTour(typ, buf[:8], 10); err == nil {
 		t.Fatal("short payload accepted")
+	}
+	_, buf = encodeWireTour(WireTour{From: 1, Length: 100, N: 10, Full: true, Tour: tsp.Tour{0, 1, 2, 3, 4, 5, 6, 7, 8, 8}})
+	if _, err := decodeWireTour(typ, buf, 10); err == nil {
+		t.Fatal("full tour that is not a permutation accepted")
 	}
 }
 
@@ -101,7 +103,7 @@ func TestNeighborsCodecRoundTrip(t *testing.T) {
 }
 
 func TestChanNetworkBroadcastReachesNeighborsOnly(t *testing.T) {
-	nw := NewChanNetwork(8, topology.Hypercube)
+	nw := NewChanNetwork(8, topology.Hypercube, ExchangeConfig{}, 0, nil)
 	comms := make([]core.Comm, 8)
 	for i := range comms {
 		comms[i] = nw.Comm(i)
@@ -122,7 +124,7 @@ func TestChanNetworkBroadcastReachesNeighborsOnly(t *testing.T) {
 }
 
 func TestChanNetworkBroadcastCopiesTour(t *testing.T) {
-	nw := NewChanNetwork(2, topology.Complete)
+	nw := NewChanNetwork(2, topology.Complete, ExchangeConfig{}, 0, nil)
 	a, b := nw.Comm(0), nw.Comm(1)
 	tour := tsp.IdentityTour(4)
 	a.Broadcast(tour, 10)
@@ -137,7 +139,7 @@ func TestChanNetworkBroadcastCopiesTour(t *testing.T) {
 }
 
 func TestChanNetworkOptimumStopsEveryone(t *testing.T) {
-	nw := NewChanNetwork(4, topology.Ring)
+	nw := NewChanNetwork(4, topology.Ring, ExchangeConfig{}, 0, nil)
 	nw.Comm(2).AnnounceOptimum(42)
 	for i := 0; i < 4; i++ {
 		if !nw.Comm(i).Stopped() {
@@ -147,16 +149,12 @@ func TestChanNetworkOptimumStopsEveryone(t *testing.T) {
 }
 
 func TestChanNetworkDropsWhenFull(t *testing.T) {
-	nw := NewChanNetwork(2, topology.Complete)
 	observer := obs.NewObserver(2, nil)
-	nw.SetObserver(observer)
+	nw := NewChanNetwork(2, topology.Complete, ExchangeConfig{}, 0, observer)
 	a := nw.Comm(0)
 	tour := tsp.IdentityTour(3)
 	for i := 0; i < InboxCapacity+10; i++ {
 		a.Broadcast(tour, int64(i))
-	}
-	if nw.Drops() != 10 {
-		t.Errorf("drops = %d, want 10", nw.Drops())
 	}
 	if got := nw.Comm(1).Drain(); len(got) != InboxCapacity {
 		t.Errorf("drained %d, want %d", len(got), InboxCapacity)
@@ -288,7 +286,7 @@ func TestTCPClusterIntegration(t *testing.T) {
 	}
 
 	// Broadcast a tour from node 0; exactly its hypercube neighbours must
-	// get it, signalled on their inbox channels (no polling).
+	// get it.
 	tour := tsp.IdentityTour(in.N())
 	sender := tcpNodes[0].ID
 	wantRecv := map[int]bool{}
@@ -296,29 +294,51 @@ func TestTCPClusterIntegration(t *testing.T) {
 		wantRecv[o] = true
 	}
 	tcpNodes[0].Broadcast(tour, 999)
-	need := len(wantRecv)
-	for got := 0; got < need; got++ {
-		select {
-		case m := <-tcpNodes[1].Incoming():
-			checkDelivery(t, tcpNodes[1].ID, m, sender, wantRecv, in.N())
-		case m := <-tcpNodes[2].Incoming():
-			checkDelivery(t, tcpNodes[2].ID, m, sender, wantRecv, in.N())
-		case m := <-tcpNodes[3].Incoming():
-			checkDelivery(t, tcpNodes[3].ID, m, sender, wantRecv, in.N())
-		case <-ctx.Done():
-			t.Fatalf("only %d of %d neighbour deliveries arrived", got, need)
+	for _, n := range tcpNodes[1:] {
+		if wantRecv[n.ID] {
+			checkDelivery(t, n.ID, drainOne(ctx, t, n), sender, wantRecv, in.N())
+		}
+	}
+	for _, n := range tcpNodes[1:] {
+		if got := n.Drain(); len(got) != 0 {
+			t.Fatalf("unexpected delivery to node %d: %v", n.ID, got)
 		}
 	}
 
 	// Optimum notification floods to every node.
 	tcpNodes[1].AnnounceOptimum(12345)
 	for i, n := range tcpNodes {
-		select {
-		case <-n.StoppedChan():
-		case <-ctx.Done():
+		if !poll(ctx, n.Stopped) {
 			t.Fatalf("optimum notification did not flood to node %d", i)
 		}
 	}
+}
+
+// poll calls cond every millisecond until it reports true or ctx ends,
+// and reports whether cond held.
+func poll(ctx context.Context, cond func() bool) bool {
+	for !cond() {
+		select {
+		case <-ctx.Done():
+			return false
+		case <-time.After(time.Millisecond):
+		}
+	}
+	return true
+}
+
+// drainOne polls n's inbox until it holds a tour, and returns the only
+// one.
+func drainOne(ctx context.Context, t *testing.T, n *TCPNode) core.Incoming {
+	t.Helper()
+	var got []core.Incoming
+	if !poll(ctx, func() bool { got = n.Drain(); return len(got) > 0 }) {
+		t.Fatalf("node %d: no tour arrived", n.ID)
+	}
+	if len(got) != 1 {
+		t.Fatalf("node %d drained %d tours, want 1", n.ID, len(got))
+	}
+	return got[0]
 }
 
 // checkDelivery asserts one broadcast landed on an expected neighbour and

@@ -11,18 +11,18 @@ import (
 // corpus (testdata/fuzz/FuzzDecodeWireTour) was encoded at this size.
 const fuzzN = 12
 
-// FuzzDecodeTour feeds arbitrary msgTour payloads, which a TCP peer
-// controls, to decodeTour. It must never panic, and every payload it
-// accepts must re-encode to the same bytes. The seed corpus
-// (testdata/fuzz/FuzzDecodeTour) holds encodeTour outputs and also runs in
-// `go test`.
-func FuzzDecodeTour(f *testing.F) {
+// FuzzDecodeNeighbors feeds arbitrary hub replies, which whoever answers
+// at the hub address controls, to decodeNeighbors. It must never panic,
+// and every payload it accepts must re-encode to the same bytes. The seed
+// corpus (testdata/fuzz/FuzzDecodeNeighbors) holds encodeNeighbors
+// outputs and also runs in `go test`.
+func FuzzDecodeNeighbors(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		from, length, tour, err := decodeTour(data)
+		id, total, ids, addrs, err := decodeNeighbors(data)
 		if err != nil {
 			return
 		}
-		if got := encodeTour(from, length, tour); !bytes.Equal(got, data) {
+		if got := encodeNeighbors(id, total, ids, addrs); !bytes.Equal(got, data) {
 			t.Fatalf("accepted payload re-encodes differently:\n got %x\nwant %x", got, data)
 		}
 	})

@@ -13,7 +13,6 @@ const (
 	msgJoin      = byte(1) // node -> hub: listen address
 	msgNeighbors = byte(2) // hub -> node: assigned id + neighbour addresses
 	msgHello     = byte(3) // node -> node: sender id
-	msgTour      = byte(4) // node -> node: sender id + tour
 	msgOptimum   = byte(5) // node -> node: target reached, shut down
 	msgTourFull  = byte(6) // node -> node: generation-stamped full tour (delta protocol keyframe)
 	msgTourDelta = byte(7) // node -> node: changed segments against a base generation
@@ -50,36 +49,6 @@ func readFrame(r io.Reader) (byte, []byte, error) {
 		return 0, nil, err
 	}
 	return hdr[0], payload, nil
-}
-
-// encodeTour serializes (from, length, tour) for a msgTour frame.
-func encodeTour(from int, length int64, t tsp.Tour) []byte {
-	buf := make([]byte, 16+4*len(t))
-	binary.LittleEndian.PutUint32(buf[0:], uint32(from))
-	binary.LittleEndian.PutUint64(buf[4:], uint64(length))
-	binary.LittleEndian.PutUint32(buf[12:], uint32(len(t)))
-	for i, c := range t {
-		binary.LittleEndian.PutUint32(buf[16+4*i:], uint32(c))
-	}
-	return buf
-}
-
-// decodeTour parses a msgTour payload and validates the permutation length.
-func decodeTour(buf []byte) (from int, length int64, t tsp.Tour, err error) {
-	if len(buf) < 16 {
-		return 0, 0, nil, fmt.Errorf("dist: short tour payload (%d bytes)", len(buf))
-	}
-	from = int(binary.LittleEndian.Uint32(buf[0:]))
-	length = int64(binary.LittleEndian.Uint64(buf[4:]))
-	n := int(binary.LittleEndian.Uint32(buf[12:]))
-	if len(buf) != 16+4*n {
-		return 0, 0, nil, fmt.Errorf("dist: tour payload size %d does not match n=%d", len(buf), n)
-	}
-	t = make(tsp.Tour, n)
-	for i := range t {
-		t[i] = int32(binary.LittleEndian.Uint32(buf[16+4*i:]))
-	}
-	return from, length, t, nil
 }
 
 // encodeWireTour serializes a delta-protocol message. Full tours
@@ -124,7 +93,7 @@ func encodeWireTour(w WireTour) (byte, []byte) {
 
 // decodeWireTour parses a msgTourFull/msgTourDelta payload. n is the
 // expected instance size; deltas inherit it (their frames do not repeat
-// it), and full tours are checked against it.
+// it), and a full tour must be a permutation of it.
 func decodeWireTour(typ byte, buf []byte, n int) (WireTour, error) {
 	var w WireTour
 	if typ == msgTourFull {
@@ -142,6 +111,9 @@ func decodeWireTour(typ byte, buf []byte, n int) (WireTour, error) {
 		w.Tour = make(tsp.Tour, w.N)
 		for i := range w.Tour {
 			w.Tour[i] = int32(binary.LittleEndian.Uint32(buf[fullHeaderBytes+4*i:]))
+		}
+		if err := w.Tour.Validate(n); err != nil {
+			return w, fmt.Errorf("dist: full-tour payload: %w", err)
 		}
 		return w, nil
 	}
@@ -198,6 +170,8 @@ func encodeNeighbors(id, total int, ids []int, addrs []string) []byte {
 	return buf
 }
 
+// decodeNeighbors parses the hub's reply; it rejects truncated and
+// over-long payloads.
 func decodeNeighbors(buf []byte) (id, total int, ids []int, addrs []string, err error) {
 	off := 0
 	get := func() (uint32, error) {
@@ -236,6 +210,9 @@ func decodeNeighbors(buf []byte) (id, total int, ids []int, addrs []string, err 
 		}
 		addrs = append(addrs, string(buf[off:off+alen]))
 		off += alen
+	}
+	if off != len(buf) {
+		err = fmt.Errorf("dist: neighbour payload has %d trailing bytes", len(buf)-off)
 	}
 	return
 }

@@ -26,16 +26,11 @@ type TCPConfig struct {
 	// DefaultIOTimeout). Tests shorten it to fail fast; deployments over
 	// slow links raise it.
 	IOTimeout time.Duration
-	// Exchange selects the wire protocol. Delta runs the tour-diff codec
-	// per peer connection; the stream state lives with the connection, so
-	// a reconnect (peer crash/restart) naturally restarts with a full
-	// tour. Gossip is not available over TCP — nodes only know the
-	// hub-assigned neighbour addresses, not the whole cluster.
+	// Exchange selects the wire protocol. A new connection from a peer
+	// restarts both of its delta streams from a full tour. Gossip is not
+	// available over TCP — nodes only know the hub-assigned neighbour
+	// addresses, not the whole cluster.
 	Exchange ExchangeConfig
-	// BatchWindow, when positive, batches outgoing broadcasts per peer:
-	// tours produced within one window are coalesced and only the best
-	// goes on the wire when the window closes.
-	BatchWindow time.Duration
 }
 
 func (c TCPConfig) ioTimeout() time.Duration {
@@ -49,6 +44,8 @@ func (c TCPConfig) ioTimeout() time.Duration {
 // peer-to-peer overlay: each maintains persistent connections to its
 // topology neighbours, broadcasts improved tours as length-prefixed binary
 // frames, and floods an optimum notification for distributed termination.
+// What a tour frame means is the node's Exchange's business; TCPNode only
+// moves frames.
 type TCPNode struct {
 	ID    int
 	Total int
@@ -56,18 +53,13 @@ type TCPNode struct {
 	instN     int
 	ln        net.Listener
 	ioTimeout time.Duration
-	ex        ExchangeConfig
-	batch     time.Duration
-	rec       *obs.Recorder // nil-safe; counts wire-protocol events
+	x         *Exchange
 
 	mu       sync.Mutex
 	peerCond *sync.Cond // broadcast on every peer add/remove
 	peers    map[int]*tcpPeer
 
-	inbox     chan core.Incoming
 	stopped   atomic.Bool
-	stoppedCh chan struct{}
-	stopOnce  sync.Once
 	forwarded atomic.Bool
 	closed    atomic.Bool
 }
@@ -77,18 +69,6 @@ type tcpPeer struct {
 	conn    net.Conn
 	timeout time.Duration
 	wmu     sync.Mutex
-
-	// Delta-protocol stream state, scoped to this connection: a
-	// reconnect builds a fresh tcpPeer, so both sides restart from a
-	// full tour — the crash/restart fallback needs no extra signalling.
-	enc DeltaEncoder // guarded by wmu (encode order = write order)
-	dec DeltaDecoder // readLoop only (single goroutine)
-
-	// Batch-window slot: the best tour produced within the open window.
-	pmu        sync.Mutex
-	pendTour   tsp.Tour
-	pendLength int64
-	pendArmed  bool
 }
 
 func (p *tcpPeer) send(typ byte, payload []byte) error {
@@ -107,11 +87,13 @@ func (p *tcpPeer) send(typ byte, payload []byte) error {
 // incoming tours. ctx bounds the bootstrap (hub dial + handshake + peer
 // dials); once joined, the node lives until Close.
 func JoinTCP(ctx context.Context, hubAddr, listenAddr string, instN int) (*TCPNode, error) {
-	return JoinTCPConfig(ctx, hubAddr, listenAddr, instN, TCPConfig{})
+	return JoinTCPConfig(ctx, hubAddr, listenAddr, instN, TCPConfig{}, nil)
 }
 
-// JoinTCPConfig is JoinTCP with explicit tuning.
-func JoinTCPConfig(ctx context.Context, hubAddr, listenAddr string, instN int, cfg TCPConfig) (*TCPNode, error) {
+// JoinTCPConfig is JoinTCP with explicit tuning. The node records into
+// its own obs.Recorder (see Recorder), which emits into sink; nil
+// discards the events and keeps the counters.
+func JoinTCPConfig(ctx context.Context, hubAddr, listenAddr string, instN int, cfg TCPConfig, sink obs.Sink) (*TCPNode, error) {
 	ln, err := net.Listen("tcp", listenAddr)
 	if err != nil {
 		return nil, err
@@ -120,15 +102,9 @@ func JoinTCPConfig(ctx context.Context, hubAddr, listenAddr string, instN int, c
 		instN:     instN,
 		ln:        ln,
 		ioTimeout: cfg.ioTimeout(),
-		ex:        cfg.Exchange,
-		batch:     cfg.BatchWindow,
 		peers:     make(map[int]*tcpPeer),
-		inbox:     make(chan core.Incoming, InboxCapacity),
-		stoppedCh: make(chan struct{}),
 	}
 	n.peerCond = sync.NewCond(&n.mu)
-	//lint:ignore goroleak bounded by the listener: Close() in TCPNode.Close unblocks Accept and the loop returns
-	go n.acceptLoop()
 
 	var d net.Dialer
 	hub, err := d.DialContext(ctx, "tcp", hubAddr)
@@ -157,6 +133,10 @@ func JoinTCPConfig(ctx context.Context, hubAddr, listenAddr string, instN int, c
 		return nil, err
 	}
 	n.ID, n.Total = id, total
+	n.x = NewExchange(id, cfg.Exchange, InboxCapacity, obs.NewRecorder(id, sink))
+	// Peers that dial in before Accept runs wait in the listen backlog.
+	//lint:ignore goroleak bounded by the listener: Close() in TCPNode.Close unblocks Accept and the loop returns
+	go n.acceptLoop()
 
 	for i := range ids {
 		if err := n.dialPeer(ctx, ids[i], addrs[i]); err != nil {
@@ -232,6 +212,7 @@ func (n *TCPNode) addPeer(id int, conn net.Conn) {
 	if old, ok := n.peers[id]; ok {
 		old.conn.Close()
 	}
+	n.x.Forget(id)
 	n.peers[id] = p
 	n.peerCond.Broadcast()
 	n.mu.Unlock()
@@ -278,191 +259,71 @@ func (n *TCPNode) readLoop(p *tcpPeer) {
 			return
 		}
 		switch typ {
-		case msgTour:
-			from, length, tour, err := decodeTour(payload)
-			if err != nil || tour.Validate(n.instN) != nil {
-				continue // corrupt tours are dropped, not fatal
-			}
-			n.enqueue(core.Incoming{From: from, Tour: tour, Length: length})
 		case msgTourFull, msgTourDelta:
 			w, err := decodeWireTour(typ, payload, n.instN)
 			if err != nil {
 				continue // corrupt frames are dropped, not fatal
 			}
-			tour, ok := p.dec.Decode(w)
-			if !ok {
-				// Generation gap (lost frame, or we reconnected and the
-				// sender has not keyframed yet): discard, heal on the
-				// next full tour.
-				n.rec.DeltaGap(w.From)
-				continue
-			}
-			n.enqueue(core.Incoming{From: w.From, Tour: tour, Length: w.Length})
+			n.x.Receive(w)
 		case msgOptimum:
-			n.setStopped()
+			n.stopped.Store(true)
 			n.forwardOptimum(payload)
 		}
 	}
+}
+
+// livePeers snapshots the current peer connections.
+func (n *TCPNode) livePeers() []*tcpPeer {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	peers := make([]*tcpPeer, 0, len(n.peers))
+	for _, p := range n.peers {
+		peers = append(peers, p)
+	}
+	return peers
 }
 
 func (n *TCPNode) forwardOptimum(payload []byte) {
 	if !n.forwarded.CompareAndSwap(false, true) {
 		return
 	}
-	n.mu.Lock()
-	peers := make([]*tcpPeer, 0, len(n.peers))
-	for _, p := range n.peers {
-		peers = append(peers, p)
-	}
-	n.mu.Unlock()
-	for _, p := range peers {
+	for _, p := range n.livePeers() {
 		if err := p.send(msgOptimum, payload); err != nil {
 			n.removePeer(p)
 		}
 	}
 }
 
-func (n *TCPNode) enqueue(in core.Incoming) {
-	select {
-	case n.inbox <- in:
-	default:
-		// Inbox full: drop; fresher tours will follow.
-	}
-}
-
-// Broadcast implements core.Comm: send the tour to every connected peer,
-// through the batch window and delta codec when configured.
+// Broadcast implements core.Comm: one frame per connected peer. Only the
+// node's own goroutine broadcasts, so each peer's delta stream goes on the
+// wire in generation order.
 func (n *TCPNode) Broadcast(t tsp.Tour, length int64) {
-	n.mu.Lock()
-	peers := make([]*tcpPeer, 0, len(n.peers))
-	for _, p := range n.peers {
-		peers = append(peers, p)
-	}
-	n.mu.Unlock()
-	if n.batch > 0 {
-		for _, p := range peers {
-			n.pend(p, t, length)
-		}
-		return
-	}
-	var payload []byte
-	if !n.ex.Delta {
-		payload = encodeTour(n.ID, length, t)
-	}
-	for _, p := range peers {
-		if err := n.sendTour(p, t, length, payload); err != nil {
+	for _, p := range n.livePeers() {
+		typ, payload := encodeWireTour(n.x.Encode(p.id, t, length))
+		if err := p.send(typ, payload); err != nil {
 			n.removePeer(p)
 		}
 	}
 }
 
-// pend stores the tour in the peer's batch slot, keeping only the best
-// per window; the first pend of a window arms the flush timer.
-func (n *TCPNode) pend(p *tcpPeer, t tsp.Tour, length int64) {
-	p.pmu.Lock()
-	arm := !p.pendArmed
-	switch {
-	case p.pendTour == nil:
-		p.pendTour, p.pendLength = t.Clone(), length
-	case length < p.pendLength:
-		p.pendTour, p.pendLength = t.Clone(), length
-		n.rec.CoalescedMsg(length, p.id)
-	default:
-		n.rec.CoalescedMsg(p.pendLength, p.id)
-	}
-	p.pendArmed = true
-	p.pmu.Unlock()
-	if arm {
-		time.AfterFunc(n.batch, func() { n.flush(p) })
-	}
-}
-
-// flush closes the peer's batch window and sends the surviving tour.
-func (n *TCPNode) flush(p *tcpPeer) {
-	p.pmu.Lock()
-	t, length := p.pendTour, p.pendLength
-	p.pendTour, p.pendArmed = nil, false
-	p.pmu.Unlock()
-	if t == nil || n.closed.Load() {
-		return
-	}
-	var payload []byte
-	if !n.ex.Delta {
-		payload = encodeTour(n.ID, length, t)
-	}
-	if err := n.sendTour(p, t, length, payload); err != nil {
-		n.removePeer(p)
-	}
-}
-
-// sendTour writes one tour to one peer. legacyPayload is the shared
-// msgTour encoding for the non-delta protocol (nil under delta, where
-// every peer stream encodes its own diff under wmu so that generation
-// order matches write order).
-func (n *TCPNode) sendTour(p *tcpPeer, t tsp.Tour, length int64, legacyPayload []byte) error {
-	if !n.ex.Delta {
-		return p.send(msgTour, legacyPayload)
-	}
-	p.wmu.Lock()
-	w := p.enc.Encode(n.ID, t, length, n.ex.Keyframe())
-	typ, payload := encodeWireTour(w)
-	p.conn.SetWriteDeadline(time.Now().Add(p.timeout))
-	//lint:ignore locksafety wmu serializes encoder state and frame writes per connection; the write is bounded by the deadline above
-	err := writeFrame(p.conn, typ, payload)
-	p.conn.SetWriteDeadline(time.Time{})
-	p.wmu.Unlock()
-	if err == nil {
-		if w.Full {
-			n.rec.FullSent(int64(len(payload)), p.id)
-		} else {
-			n.rec.DeltaSent(int64(len(payload)), p.id)
-		}
-	}
-	return err
-}
-
-// SetRecorder attaches an obs recorder so wire-protocol events (full vs
-// delta sends, generation gaps, batch coalescing) are counted. Call
-// before Broadcast traffic starts; nil is allowed.
-func (n *TCPNode) SetRecorder(rec *obs.Recorder) { n.rec = rec }
+// Recorder returns the node's recorder: the exchange counts its wire
+// events there, and a core.Node running on this TCPNode records into it
+// too (see NewNode).
+func (n *TCPNode) Recorder() *obs.Recorder { return n.x.rec }
 
 // Drain implements core.Comm.
-func (n *TCPNode) Drain() []core.Incoming {
-	var out []core.Incoming
-	for {
-		select {
-		case in := <-n.inbox:
-			out = append(out, in)
-		default:
-			return out
-		}
-	}
-}
+func (n *TCPNode) Drain() []core.Incoming { return n.x.Drain() }
 
 // AnnounceOptimum implements core.Comm: flood the termination notice.
 func (n *TCPNode) AnnounceOptimum(length int64) {
 	var payload [8]byte
 	binary.LittleEndian.PutUint64(payload[:], uint64(length))
-	n.setStopped()
-	n.forwardOptimum(payload[:])
-}
-
-func (n *TCPNode) setStopped() {
 	n.stopped.Store(true)
-	n.stopOnce.Do(func() { close(n.stoppedCh) })
+	n.forwardOptimum(payload[:])
 }
 
 // Stopped implements core.Comm.
 func (n *TCPNode) Stopped() bool { return n.stopped.Load() }
-
-// StoppedChan is closed when an optimum/shutdown notice arrives — the
-// event-driven form of polling Stopped.
-func (n *TCPNode) StoppedChan() <-chan struct{} { return n.stoppedCh }
-
-// Incoming exposes the receive channel for event-driven consumers (select
-// with a timeout instead of Drain-and-sleep polling). Consume either via
-// this channel or via Drain, not both concurrently.
-func (n *TCPNode) Incoming() <-chan core.Incoming { return n.inbox }
 
 // Close tears the node down.
 func (n *TCPNode) Close() error {

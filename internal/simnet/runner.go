@@ -5,17 +5,15 @@ import (
 	"math/rand"
 	"time"
 
-	"distclk/internal/clk"
 	"distclk/internal/core"
 	"distclk/internal/dist"
-	"distclk/internal/neighbor"
 	"distclk/internal/obs"
 	"distclk/internal/topology"
 	"distclk/internal/tsp"
 )
 
 // faultSeedSalt decorrelates the network's fault stream from the per-node
-// search seeds (which are Seed + i*1e9+7, matching dist.RunCluster).
+// search seeds (dist.NewNode).
 const faultSeedSalt = 0x5137_CAFE
 
 // Config describes one simulated cluster run.
@@ -41,13 +39,13 @@ type Config struct {
 	// Link is the fault model applied to every overlay edge.
 	Link Link
 	// Exchange selects the wire protocol (tour-diff broadcast, queued
-	// message coalescing, gossip peer sampling). The zero value is the
-	// legacy full-tour protocol, which replays existing runs
-	// byte-identically — delta mode consumes the same fault stream but
-	// different bandwidth delays, so enabling it changes virtual
-	// timelines by design.
+	// message coalescing in the receiver's inbox, gossip peer sampling),
+	// applied by each node's dist.Exchange as on every transport. The
+	// zero value is the full-tour protocol. Delta mode consumes the same
+	// fault stream but different bandwidth delays, so enabling it
+	// changes virtual timelines by design.
 	Exchange dist.ExchangeConfig
-	// InboxCapacity bounds each node's queue (default 1024, matching
+	// InboxCapacity bounds each node's queue (default
 	// dist.InboxCapacity); overflow drops are counted and evented.
 	InboxCapacity int
 	// Partitions and Crashes are the scripted fault schedule.
@@ -118,16 +116,9 @@ func Run(ctx context.Context, inst *tsp.Instance, cfg Config) Result {
 		cfg.StepCost = 100 * time.Millisecond
 	}
 	if cfg.InboxCapacity <= 0 {
-		cfg.InboxCapacity = 1024
+		cfg.InboxCapacity = dist.InboxCapacity
 	}
-	// Candidate lists are shared across nodes, as in dist.RunCluster.
-	if cfg.EA.CLK.Neighbors == nil {
-		k := cfg.EA.CLK.NeighborK
-		if k == 0 {
-			k = clk.DefaultParams().NeighborK
-		}
-		cfg.EA.CLK.Neighbors = neighbor.Build(inst, k)
-	}
+	cfg.EA = dist.ShareCandidates(inst, cfg.EA)
 
 	sched := &scheduler{}
 	observer := cfg.Obs
@@ -181,10 +172,7 @@ func Run(ctx context.Context, inst *tsp.Instance, cfg Config) Result {
 	}
 
 	for i := 0; i < cfg.Nodes; i++ {
-		seed := cfg.Seed + int64(i)*1_000_000_007
-		node := core.NewNode(i, inst, cfg.EA, nw.Comm(i), seed)
-		node.SetRecorder(observer.Recorder(i))
-		nodes[i] = node
+		nodes[i] = dist.NewNode(i, inst, cfg.EA, nw.Comm(i), cfg.Seed, observer.Recorder(i))
 		b := cfg.Budget
 		if i < len(cfg.NodeIterations) && cfg.NodeIterations[i] > 0 {
 			b.MaxIterations = cfg.NodeIterations[i]

@@ -123,9 +123,9 @@ func (f FaultStats) Drops() int64 {
 	return f.DroppedLink + f.DroppedPartition + f.DroppedCrash + f.DroppedInbox
 }
 
-// Network is the virtual-time transport. It satisfies dist.Network
-// structurally (Comm + Drops) but must only be touched from Run's event
-// loop — it is deliberately lock-free and single-threaded.
+// Network is the virtual-time transport: the scheduler moves each
+// message after its drawn delay, and each node's dist.Exchange does
+// everything else. It must only be touched from Run's event loop.
 type Network struct {
 	n    int
 	topo topology.Kind
@@ -137,18 +137,13 @@ type Network struct {
 	rng   *rand.Rand
 	obs   *obs.Observer
 
-	inboxes     [][]core.Incoming
+	// xs[i] is node i's exchange endpoint. A crash replaces it: the
+	// node's inbox and its delta streams, both ways, die with the process,
+	// so it resumes with full tours on restart.
+	xs          []*dist.Exchange
 	crashed     []bool
 	partitioned bool
 	groupOf     []int
-
-	// Delta-protocol codec state: encs[sender][peer] and
-	// decs[receiver][sender]. Maps are key-accessed only (never ranged),
-	// and a crash clears the crashed node's whole row — its
-	// reconstruction state and its send streams die with the process, so
-	// it resumes with full tours on restart.
-	encs []map[int]*dist.DeltaEncoder
-	decs []map[int]*dist.DeltaDecoder
 
 	stopped   bool
 	stoppedAt time.Duration
@@ -166,15 +161,18 @@ func newNetwork(n int, topo topology.Kind, link Link, capacity int, ex dist.Exch
 		sched:   sched,
 		rng:     rng,
 		obs:     o,
-		inboxes: make([][]core.Incoming, n),
+		xs:      make([]*dist.Exchange, n),
 		crashed: make([]bool, n),
 		groupOf: make([]int, n),
 	}
-	if ex.Delta {
-		nw.encs = make([]map[int]*dist.DeltaEncoder, n)
-		nw.decs = make([]map[int]*dist.DeltaDecoder, n)
+	for i := range nw.xs {
+		nw.xs[i] = nw.newExchange(i)
 	}
 	return nw
+}
+
+func (nw *Network) newExchange(id int) *dist.Exchange {
+	return dist.NewExchange(id, nw.ex, nw.cap, nw.obs.Recorder(id))
 }
 
 // Comm returns node id's view of the network.
@@ -182,52 +180,20 @@ func (nw *Network) Comm(id int) core.Comm {
 	return &comm{nw: nw, id: id, neighbors: topology.Neighbors(nw.topo, nw.n, id)}
 }
 
-func (nw *Network) encoder(from, to int) *dist.DeltaEncoder {
-	if nw.encs[from] == nil {
-		nw.encs[from] = make(map[int]*dist.DeltaEncoder, 4)
-	}
-	e := nw.encs[from][to]
-	if e == nil {
-		e = &dist.DeltaEncoder{}
-		nw.encs[from][to] = e
-	}
-	return e
-}
-
-func (nw *Network) decoder(to, from int) *dist.DeltaDecoder {
-	if nw.decs[to] == nil {
-		nw.decs[to] = make(map[int]*dist.DeltaDecoder, 4)
-	}
-	d := nw.decs[to][from]
-	if d == nil {
-		d = &dist.DeltaDecoder{}
-		nw.decs[to][from] = d
-	}
-	return d
-}
-
-// Drops reports how many tours were discarded in transit, all causes.
-func (nw *Network) Drops() int64 { return nw.stats.Drops() }
-
-// Stats returns the fault tallies so far.
-func (nw *Network) Stats() FaultStats { return nw.stats }
-
-// wireMsg is one in-flight delta-protocol frame: the encoded form plus
-// the sender's actual tour at encode time, kept as the reconstruction
-// oracle (decoded tours are compared against it; any mismatch is a
-// protocol bug and lands in FaultStats.DeltaMismatches).
+// wireMsg is one in-flight message: the encoded form plus, under delta
+// exchange, the sender's actual tour at encode time, kept as the
+// reconstruction oracle (decoded tours are compared against it; any
+// mismatch is a protocol bug and lands in FaultStats.DeltaMismatches).
 type wireMsg struct {
-	from   int
-	length int64
 	wire   dist.WireTour
 	oracle tsp.Tour // shared read-only across peers of one broadcast
 }
 
-// send pushes one copy of the tour onto the from→to edge, applying the
+// send pushes one copy of the message onto the from→to edge, applying the
 // fault model in a fixed draw order (partition, loss, latency, bandwidth,
-// reorder) so replays consume the rand stream identically. w is non-nil
-// under delta exchange; bandwidth then charges the encoded wire size.
-func (nw *Network) send(from, to int, t tsp.Tour, length int64, w *dist.WireTour, oracle tsp.Tour) {
+// reorder) so replays consume the rand stream identically.
+func (nw *Network) send(to int, msg wireMsg) {
+	from, length := msg.wire.From, msg.wire.Length
 	if nw.partitioned && nw.groupOf[from] != nw.groupOf[to] {
 		nw.stats.DroppedPartition++
 		nw.obs.Recorder(to).MsgDropped(length, from)
@@ -240,9 +206,11 @@ func (nw *Network) send(from, to int, t tsp.Tour, length int64, w *dist.WireTour
 	}
 	delay := nw.link.Latency.sample(nw.rng)
 	if nw.link.Bandwidth > 0 {
-		bytes := int64(16 + 4*len(t))
-		if w != nil {
-			bytes = int64(w.WireBytes())
+		// The full-tour protocol is charged its original 16-byte header,
+		// which keeps replays of full-tour runs exact.
+		bytes := int64(16 + 4*msg.wire.N)
+		if nw.ex.Delta {
+			bytes = int64(msg.wire.WireBytes())
 		}
 		delay += time.Duration(bytes * int64(time.Second) / nw.link.Bandwidth)
 	}
@@ -250,86 +218,37 @@ func (nw *Network) send(from, to int, t tsp.Tour, length int64, w *dist.WireTour
 		delay += nw.link.Latency.sample(nw.rng)
 		nw.stats.Reordered++
 	}
-	if w != nil {
-		msg := wireMsg{from: from, length: length, wire: *w, oracle: oracle}
-		nw.sched.after(delay, func() { nw.deliverWire(to, msg) })
-		return
-	}
-	msg := core.Incoming{From: from, Tour: t.Clone(), Length: length}
 	nw.sched.after(delay, func() { nw.deliver(to, msg) })
 }
 
-// deliver lands a legacy full-tour message at its (possibly meanwhile
-// crashed or congested) destination.
-func (nw *Network) deliver(to int, msg core.Incoming) {
-	switch {
-	case nw.crashed[to]:
-		nw.stats.DroppedCrash++
-		nw.obs.Recorder(to).MsgDropped(msg.Length, msg.From)
-	case nw.ex.Coalesce && nw.coalesce(to, msg):
-	case len(nw.inboxes[to]) >= nw.cap:
-		nw.stats.DroppedInbox++
-		nw.obs.Recorder(to).MsgDropped(msg.Length, msg.From)
-	default:
-		nw.inboxes[to] = append(nw.inboxes[to], msg)
-		nw.stats.Delivered++
-		nw.obs.Recorder(to).MsgDelivered(msg.Length, msg.From)
-	}
-}
-
-// deliverWire lands a delta-protocol frame: the receiver's stream state
-// decodes it (mirroring a TCP node's readLoop, which decodes before the
-// inbox bound applies), then coalescing and the capacity bound run on
-// the reconstructed tour.
-func (nw *Network) deliverWire(to int, msg wireMsg) {
+// deliver lands a message at its (possibly meanwhile crashed or
+// congested) destination and tallies what the receiver's exchange did
+// with it.
+func (nw *Network) deliver(to int, msg wireMsg) {
+	from, length := msg.wire.From, msg.wire.Length
 	if nw.crashed[to] {
 		nw.stats.DroppedCrash++
-		nw.obs.Recorder(to).MsgDropped(msg.length, msg.from)
+		nw.obs.Recorder(to).MsgDropped(length, from)
 		return
 	}
-	tour, ok := nw.decoder(to, msg.from).Decode(msg.wire)
-	if !ok {
-		// The link delivered the frame; the protocol discarded it
-		// (base-generation gap after loss/reorder/dup/restart upstream).
+	got, tour := nw.xs[to].Receive(msg.wire)
+	switch got {
+	case dist.Gap:
+		// The link delivered the frame; the protocol discarded it.
 		nw.stats.Delivered++
 		nw.stats.DeltaGaps++
-		nw.obs.Recorder(to).DeltaGap(msg.from)
-		return
+	case dist.Overflow:
+		nw.stats.DroppedInbox++
+	case dist.Coalesced:
+		nw.stats.Coalesced++
+		fallthrough
+	default:
+		nw.stats.Delivered++
+		nw.obs.Recorder(to).MsgDelivered(length, from)
 	}
-	if !sameTour(tour, msg.oracle) {
+	if msg.oracle != nil && tour != nil && !sameTour(tour, msg.oracle) {
 		nw.stats.DeltaMismatches++
 	}
-	in := core.Incoming{From: msg.from, Tour: tour, Length: msg.length}
-	switch {
-	case nw.ex.Coalesce && nw.coalesce(to, in):
-	case len(nw.inboxes[to]) >= nw.cap:
-		nw.stats.DroppedInbox++
-		nw.obs.Recorder(to).MsgDropped(in.Length, in.From)
-	default:
-		nw.inboxes[to] = append(nw.inboxes[to], in)
-		nw.stats.Delivered++
-		nw.obs.Recorder(to).MsgDelivered(in.Length, in.From)
-	}
-}
-
-// coalesce merges msg into an already-queued message from the same
-// sender, keeping the better tour. It reports whether a merge happened.
-func (nw *Network) coalesce(to int, msg core.Incoming) bool {
-	box := nw.inboxes[to]
-	for i := range box {
-		if box[i].From != msg.From {
-			continue
-		}
-		if msg.Length < box[i].Length {
-			box[i] = msg
-		}
-		nw.stats.Delivered++
-		nw.stats.Coalesced++
-		nw.obs.Recorder(to).MsgDelivered(msg.Length, msg.From)
-		nw.obs.Recorder(to).CoalescedMsg(box[i].Length, msg.From)
-		return true
-	}
-	return false
 }
 
 // sameTour reports whether a and b are the same cycle as the wire codec
@@ -386,16 +305,11 @@ func (nw *Network) healPartition() {
 }
 
 // crash kills a node: pending inbox lost, future traffic dropped, and
-// its delta-protocol state (reconstruction bases and send streams) dies
-// with the process — after a restart it sends full tours again, and its
-// peers' deltas gap until their next keyframe.
+// its exchange state dies with the process — after a restart it sends
+// full tours again, and its peers' deltas gap until their next keyframe.
 func (nw *Network) crash(id int) {
 	nw.crashed[id] = true
-	nw.inboxes[id] = nil
-	if nw.ex.Delta {
-		nw.encs[id] = nil
-		nw.decs[id] = nil
-	}
+	nw.xs[id] = nw.newExchange(id)
 	nw.obs.Record(obs.KindNodeCrash, id, 0, -1)
 }
 
@@ -413,21 +327,16 @@ type comm struct {
 	nw        *Network
 	id        int
 	neighbors []int
-	scratch   []int // gossip sample reuse; event loop is single-threaded
 }
 
-// Broadcast sends a copy of the tour toward every topology neighbour —
-// or a gossip sample of the whole cluster — running each copy through
-// the link fault model. Under delta exchange each peer stream encodes
-// its own diff; a duplicated frame is the same WireTour twice (the
-// second copy gaps at the decoder, as on a real wire).
+// Broadcast sends one message toward every peer the exchange picks,
+// running each copy through the link fault model. A duplicated frame is
+// the same message twice (under delta exchange the second copy gaps at
+// the decoder, as on a real wire).
 func (c *comm) Broadcast(t tsp.Tour, length int64) {
 	nw := c.nw
-	peers := c.neighbors
-	if nw.ex.Gossip {
-		c.scratch = dist.SamplePeers(nw.rng, nw.n, c.id, nw.ex.GossipFanout(), c.scratch)
-		peers = c.scratch
-	}
+	x := nw.xs[c.id]
+	peers := x.Peers(c.neighbors, nw.n, nw.rng)
 	var oracle tsp.Tour
 	if nw.ex.Delta {
 		// The codec transmits the canonical form, so the reconstruction
@@ -436,18 +345,13 @@ func (c *comm) Broadcast(t tsp.Tour, length int64) {
 	}
 	for _, o := range peers {
 		nw.stats.Sent++
-		var w *dist.WireTour
+		msg := wireMsg{wire: x.Encode(o, t, length), oracle: oracle}
 		if nw.ex.Delta {
-			wt := nw.encoder(c.id, o).Encode(c.id, t, length, nw.ex.Keyframe())
-			w = &wt
-			bytes := int64(wt.WireBytes())
-			nw.stats.WireBytes += bytes
-			if wt.Full {
+			nw.stats.WireBytes += int64(msg.wire.WireBytes())
+			if msg.wire.Full {
 				nw.stats.FullTours++
-				nw.obs.Recorder(c.id).FullSent(bytes, o)
 			} else {
 				nw.stats.DeltaTours++
-				nw.obs.Recorder(c.id).DeltaSent(bytes, o)
 			}
 		}
 		copies := 1
@@ -457,17 +361,13 @@ func (c *comm) Broadcast(t tsp.Tour, length int64) {
 			nw.obs.Recorder(o).MsgDuplicated(length, c.id)
 		}
 		for k := 0; k < copies; k++ {
-			nw.send(c.id, o, t, length, w, oracle)
+			nw.send(o, msg)
 		}
 	}
 }
 
 // Drain empties the node's inbox.
-func (c *comm) Drain() []core.Incoming {
-	out := c.nw.inboxes[c.id]
-	c.nw.inboxes[c.id] = nil
-	return out
-}
+func (c *comm) Drain() []core.Incoming { return c.nw.xs[c.id].Drain() }
 
 // AnnounceOptimum stops the whole network (the paper's criterion (2)). The
 // virtual timestamp of the first announcement is the run's time-to-target.

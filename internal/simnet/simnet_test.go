@@ -10,15 +10,11 @@ import (
 	"time"
 
 	"distclk/internal/core"
-	"distclk/internal/dist"
 	"distclk/internal/exact"
 	"distclk/internal/obs"
 	"distclk/internal/topology"
 	"distclk/internal/tsp"
 )
-
-// The simulator must be swappable for the channel/TCP transports.
-var _ dist.Network = (*Network)(nil)
 
 func newTestRNG() *rand.Rand { return rand.New(rand.NewSource(1)) }
 
