@@ -168,7 +168,7 @@ func BenchmarkCandidateStrategies(b *testing.B) {
 		in := tsp.Generate(fc.family, fc.n, 42)
 		for _, strat := range neighbor.Strategies() {
 			buildStart := time.Now()
-			nbr, err := strat.Build(nil, in, 10)
+			nbr, err := strat.Build(in, 10)
 			buildMS := float64(time.Since(buildStart).Microseconds()) / 1000
 			if err != nil {
 				b.Fatal(err)

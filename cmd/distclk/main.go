@@ -69,8 +69,8 @@ func main() {
 		gossip  = flag.Int("gossip", 0, "gossip fanout: broadcast to N random peers instead of topology neighbours (0 = off; not available in TCP mode)")
 		batch   = flag.Bool("batch", false, "coalesce undrained tours per sender: a receiver keeps only the best queued tour of each sender")
 		kick    = flag.String("kick", "random-walk", "kicking strategy")
-		cand    = flag.String("candidates", "", "candidate-set strategy: auto|knn|quadrant|alpha|delaunay (empty = engine default knn)")
-		relax   = flag.Int("relax", 0, "relaxed-gain depth: LK chain depths below it may carry a bounded non-positive partial gain (0 = classic rule)")
+		cand    = flag.String("candidates", "knn", "candidate-set strategy: auto|knn|quadrant|alpha|delaunay")
+		relax   = flag.Int("relax", 0, "relaxed-gain depth: LK chain depths below it may carry a bounded non-positive partial gain (0 = classic rule; unset = auto's recommendation)")
 		budget  = flag.Duration("time", 10*time.Second, "per-node time limit")
 		target  = flag.Int64("target", 0, "stop at this tour length (0 = none)")
 		cv      = flag.Int("cv", 64, "perturbation strength divisor c_v (scale down for short runs)")
@@ -110,14 +110,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "distclk:", err)
 		os.Exit(1)
 	}
-	// Reject unknown strategy names here: the engine's constructor has no
-	// error path and would silently fall back to knn.
-	if *cand != "" && *cand != "auto" {
-		if _, err := neighbor.ByName(*cand); err != nil {
-			fmt.Fprintln(os.Stderr, "distclk:", err)
-			os.Exit(1)
-		}
-	}
 	ex := dist.ExchangeConfig{
 		Delta:         *deltaKF > 0,
 		KeyframeEvery: *deltaKF,
@@ -129,12 +121,17 @@ func main() {
 		fmt.Fprintln(os.Stderr, "distclk: -gossip is not available in TCP mode (nodes only know their hub-assigned neighbours)")
 		os.Exit(1)
 	}
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	ea := core.DefaultConfig()
 	ea.CV, ea.CR = *cv, *cr
 	ea.CLK.Kick = strategy
-	ea.CLK.Candidates = *cand
-	ea.CLK.LK.RelaxDepth = *relax
 	ea.KicksPerCall = *kpc
+	ea.CLK.Neighbors, ea.CLK.LK.RelaxDepth, err = candidates(in, *cand, *relax, set["relax"])
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "distclk:", err)
+		os.Exit(1)
+	}
 
 	// Ctrl-C / SIGTERM cancels the context; the solve unwinds and reports
 	// its best-so-far tour. Unregistering on the first signal restores the
@@ -146,9 +143,7 @@ func main() {
 	// wall-clock cancellation mid-run would break their byte-identical
 	// replay, so the -time limit applies there only when set explicitly
 	// (large clusters can need minutes of wall time for setup alone).
-	timeSet := false
-	flag.Visit(func(f *flag.Flag) { timeSet = timeSet || f.Name == "time" })
-	if !*simMode || timeSet {
+	if !*simMode || set["time"] {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *budget)
 		defer cancel()
@@ -201,6 +196,21 @@ func main() {
 			os.Exit(1)
 		}
 	}
+}
+
+// candidates builds the -candidates lists once, through the neighbor.Select
+// the facade uses, so every node of every mode searches the same lists. An
+// explicitly set -relax wins over the depth the strategy recommends (auto's
+// choice; 0 for a named strategy).
+func candidates(in *tsp.Instance, name string, relax int, relaxSet bool) (*neighbor.Lists, int, error) {
+	nbr, choice, err := neighbor.Select(in, name, clk.DefaultParams().NeighborK)
+	if err != nil {
+		return nil, 0, err
+	}
+	if !relaxSet {
+		relax = choice.RelaxDepth
+	}
+	return nbr, relax, nil
 }
 
 // runSimnet replays the cluster on simnet's virtual clock: deterministic

@@ -26,10 +26,9 @@
 // WithRelaxedGain, WithEventSink.
 //
 // Plain CLK only (reject WithNodes alongside them): WithMaxKicks,
-// WithMergeEvery, the auto-sizing WithWorkers(0) — with cooperating
+// WithMergeEvery, and the auto-sizing WithWorkers(0) — with cooperating
 // nodes time-sharing the machine, the per-node worker count must be an
-// explicit choice — and WithScratch, which additionally requires the
-// classic single worker.
+// explicit choice.
 //
 // Distributed EA only (require WithNodes): WithTopology, WithEAParameters,
 // WithKicksPerCall, and the scaled exchange protocol — WithTourDiff,
@@ -143,7 +142,6 @@ type options struct {
 	candidates string
 	relaxDepth int
 	sink       obs.Sink
-	scratch    *clk.Scratch
 	exchange   dist.ExchangeConfig
 
 	// Which option groups were explicitly set — build's combination check
@@ -444,15 +442,13 @@ func WithProgressInterval(d time.Duration) Option {
 }
 
 // Event, EventKind and EventSink re-export the observability vocabulary
-// (internal/obs) and Scratch the recyclable solve buffers (internal/clk)
-// under importable names: external modules cannot import internal
-// packages, but can name aliases, consume WithEventSink streams, and
-// implement their own one-method EventSink.
+// (internal/obs) under importable names: external modules cannot import
+// internal packages, but can name aliases, consume WithEventSink streams,
+// and implement their own one-method EventSink.
 type (
 	Event     = obs.Event
 	EventKind = obs.Kind
 	EventSink = obs.Sink
-	Scratch   = clk.Scratch
 )
 
 // WithEventSink streams the solve's raw observability events into sink as
@@ -468,24 +464,6 @@ func WithEventSink(sink EventSink) Option {
 			return fmt.Errorf("distclk: nil event sink (drop the option instead)")
 		}
 		o.sink = sink
-		return nil
-	}
-}
-
-// WithScratch recycles per-solve scratch memory — the CSR candidate
-// tables, LK optimizer buffers, and kick buffers — from sc instead of
-// allocating fresh, so a long-lived caller solving many instances in
-// sequence (the solve service's sync.Pool) avoids the per-job allocation
-// spike. A Scratch backs at most one live solve: reuse it only after the
-// previous Solve returned. Classic single-worker plain CLK only
-// (WithWorkers(1), no WithNodes): parallel workers and cluster nodes
-// each need private state, which a single scratch cannot back.
-func WithScratch(sc *Scratch) Option {
-	return func(o *options) error {
-		if sc == nil {
-			return fmt.Errorf("distclk: nil scratch (drop the option instead)")
-		}
-		o.scratch = sc
 		return nil
 	}
 }
@@ -539,14 +517,6 @@ func (o *options) combos() []error {
 	// worker and merging just never fires.
 	if o.mergeSet && !o.workersAuto && o.workers == 1 {
 		errs = append(errs, fmt.Errorf("distclk: WithMergeEvery requires WithWorkers(n > 1): tour merging fuses tours from at least two workers"))
-	}
-	if o.scratch != nil {
-		if o.nodes > 0 {
-			errs = append(errs, fmt.Errorf("distclk: WithScratch applies to plain CLK solves only; cluster nodes each need private state"))
-		}
-		if o.workersAuto || o.workers > 1 {
-			errs = append(errs, fmt.Errorf("distclk: WithScratch requires the classic single worker; a scratch backs exactly one searcher"))
-		}
 	}
 	return errs
 }
@@ -694,7 +664,7 @@ func (s *Solver) Solve(ctx context.Context) (Result, error) {
 // for this solve. An explicit WithRelaxedGain wins over the auto
 // recommendation; named strategies recommend the classic rule.
 func (s *Solver) resolveCandidates() (*neighbor.Lists, int, error) {
-	nbr, choice, err := neighbor.SelectWith(s.o.scratch.CSR(), s.in, s.o.candidates, clk.DefaultParams().NeighborK)
+	nbr, choice, err := neighbor.Select(s.in, s.o.candidates, clk.DefaultParams().NeighborK)
 	if err != nil {
 		return nil, 0, fmt.Errorf("distclk: %w", err)
 	}
@@ -714,19 +684,8 @@ func (s *Solver) solveCLK(ctx context.Context, nbr *neighbor.Lists, relax int) R
 		MaxKicks: s.o.maxKicks,
 		Target:   s.o.target,
 	}
-	// One worker takes the classic single-goroutine path: byte-identical to
-	// every release since the facade existed for a given seed.
-	if s.o.workers == 1 {
-		engine := clk.NewWith(s.o.scratch, s.in, p, s.o.seed)
-		engine.Rec = s.observer.Recorder(0)
-		engine.Rec.SetBest(engine.BestLength())
-		res := engine.Run(ctx, b)
-		return Result{
-			Tour:   res.Tour,
-			Length: res.Length,
-			Nodes:  1,
-		}
-	}
+	// One worker runs its rounds inline, byte-identical to a plain
+	// Solver.Run under the same seed.
 	g := clk.NewGroup(ctx, s.in, p, clk.GroupParams{
 		Workers:    s.o.workers,
 		MergeEvery: s.o.mergeEvery,

@@ -116,6 +116,9 @@ func TestOptionsValidation(t *testing.T) {
 	if _, err := New(in, WithProgressInterval(0)); err == nil {
 		t.Error("zero progress interval accepted")
 	}
+	if _, err := New(in, WithEventSink(nil)); err == nil {
+		t.Error("nil event sink accepted")
+	}
 	if _, err := New(in, WithKicksPerCall(0)); err == nil {
 		t.Error("zero kicks per call accepted")
 	}

@@ -1,7 +1,7 @@
 package distclk
 
 // End-to-end integration tests spanning every layer: generation ->
-// candidate lists -> construction -> LK -> Or-opt -> CLK -> distributed EA
+// candidate lists -> construction -> LK -> CLK -> distributed EA
 // -> bounds, with invariants validated at each stage.
 
 import (
@@ -46,22 +46,15 @@ func TestFullPipeline(t *testing.T) {
 		t.Fatalf("LK worsened construction: %d -> %d", constructLen, lkLen)
 	}
 
-	// Stage 3: Or-opt polish.
-	polished, orGain := lk.OrOptPass(in, nbr, opt.Tour.Tour())
-	orLen := polished.Length(in)
-	if orLen != lkLen-orGain {
-		t.Fatalf("Or-opt accounting: %d != %d - %d", orLen, lkLen, orGain)
-	}
-
-	// Stage 4: CLK chaining from the polished tour.
+	// Stage 3: CLK chaining from the LK tour.
 	solver := clk.New(in, clk.DefaultParams(), 3)
-	solver.SetTour(polished)
+	solver.SetTour(opt.Tour.Tour())
 	res := solver.Run(context.Background(), clk.Budget{MaxKicks: 150})
-	if res.Length > orLen {
-		t.Fatalf("CLK worsened polished tour: %d -> %d", orLen, res.Length)
+	if res.Length > lkLen {
+		t.Fatalf("CLK worsened the LK tour: %d -> %d", lkLen, res.Length)
 	}
 
-	// Stage 5: distributed EA seeded independently must land in the same
+	// Stage 4: distributed EA seeded independently must land in the same
 	// quality region (within 2% of the CLK result).
 	ea := core.DefaultConfig()
 	ea.CV, ea.CR = 4, 16
@@ -82,12 +75,11 @@ func TestFullPipeline(t *testing.T) {
 		t.Fatalf("distributed result %d far from CLK result %d", cres.BestLength, res.Length)
 	}
 
-	// Stage 6: bounds. Everything must respect Held-Karp.
+	// Stage 5: bounds. Everything must respect Held-Karp.
 	hk := heldkarp.LowerBound(in, heldkarp.Options{Iterations: 80, UpperBound: res.Length})
 	for name, l := range map[string]int64{
 		"construct": constructLen,
 		"lk":        lkLen,
-		"oropt":     orLen,
 		"clk":       res.Length,
 		"dist":      cres.BestLength,
 	} {

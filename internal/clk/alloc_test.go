@@ -3,6 +3,7 @@ package clk
 import (
 	"testing"
 
+	"distclk/internal/neighbor"
 	"distclk/internal/tsp"
 )
 
@@ -38,8 +39,12 @@ func TestKickLoopZeroAllocPerCandidateStrategy(t *testing.T) {
 	for _, cand := range []string{"knn", "quadrant", "alpha", "delaunay"} {
 		t.Run(cand, func(t *testing.T) {
 			in := tsp.Generate(tsp.FamilyDrill, 400, 3)
+			nbr, _, err := neighbor.Select(in, cand, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
 			p := DefaultParams()
-			p.Candidates = cand
+			p.Neighbors = nbr
 			p.LK.RelaxDepth = 3
 			s := New(in, p, 5)
 			for i := 0; i < 30; i++ {

@@ -17,25 +17,14 @@ type Params struct {
 	// Kick selects the double-bridge city selection strategy. The paper's
 	// (and linkern's) default is Random-walk.
 	Kick KickStrategy
-	// GeomK is the neighbourhood size for the Geometric strategy.
-	GeomK int
-	// CloseBeta is the subset fraction beta for the Close strategy.
-	CloseBeta float64
-	// WalkLen is the number of steps per random walk for Random-walk.
-	WalkLen int
 	// LK tunes the embedded Lin-Kernighan search.
 	LK lk.Params
 	// NeighborK is the candidate list size (ignored when Neighbors set).
 	NeighborK int
-	// Neighbors overrides the candidate lists (e.g. quadrant or alpha).
+	// Neighbors overrides the candidate lists; nil builds k-nearest
+	// lists. Other strategies are resolved by the caller through
+	// neighbor.Select, which reports a builder's error.
 	Neighbors *neighbor.Lists
-	// Candidates names the candidate-set strategy ("auto", "knn",
-	// "quadrant", "alpha", "delaunay") used when Neighbors is nil. Empty
-	// keeps the historical knn default. New/NewGroup cannot return an
-	// error, so an unknown name or a failing builder falls back to knn;
-	// callers that need the error surfaced resolve via neighbor.Select
-	// first and pass Neighbors (the facade does).
-	Candidates string
 	// Construct picks the initial tour heuristic (default Quick-Borůvka).
 	Construct construct.Method
 }
@@ -44,9 +33,6 @@ type Params struct {
 func DefaultParams() Params {
 	return Params{
 		Kick:      KickRandomWalk,
-		GeomK:     16,
-		CloseBeta: 0.10,
-		WalkLen:   30,
 		LK:        lk.DefaultParams(),
 		NeighborK: 10,
 		Construct: construct.QuickBoruvka,
@@ -129,15 +115,6 @@ type Solver struct {
 // what they care about.
 func (p Params) normalize() Params {
 	def := DefaultParams()
-	if p.GeomK == 0 {
-		p.GeomK = def.GeomK
-	}
-	if p.CloseBeta == 0 {
-		p.CloseBeta = def.CloseBeta
-	}
-	if p.WalkLen == 0 {
-		p.WalkLen = def.WalkLen
-	}
 	if p.LK.MaxDepth == 0 {
 		p.LK = def.LK
 	}
@@ -150,39 +127,24 @@ func (p Params) normalize() Params {
 // New builds a solver. It constructs candidate lists (unless provided), the
 // initial tour, and runs a full LK pass so Best starts at a local optimum.
 func New(inst *tsp.Instance, p Params, seed int64) *Solver {
-	return newSolver(nil, inst, p, seed, nil)
+	return newSolver(inst, p, seed, nil)
 }
 
-// resolveNeighbors picks the candidate lists for a solver: an explicit
-// Neighbors override wins; otherwise the named strategy is built (its
-// CSR arrays drawn from st when non-nil), with a documented knn fallback
-// on unknown names or builder errors because the engine constructors
-// have no error path.
-func resolveNeighbors(st *neighbor.Storage, inst *tsp.Instance, p Params) *neighbor.Lists {
+// resolveNeighbors returns the explicit Neighbors override, or builds
+// k-nearest lists.
+func resolveNeighbors(inst *tsp.Instance, p Params) *neighbor.Lists {
 	if p.Neighbors != nil {
 		return p.Neighbors
 	}
-	if p.Candidates == "" || p.Candidates == "knn" {
-		return neighbor.BuildWith(st, inst, p.NeighborK)
-	}
-	l, _, err := neighbor.SelectWith(st, inst, p.Candidates, p.NeighborK)
-	if err != nil {
-		return neighbor.BuildWith(st, inst, p.NeighborK)
-	}
-	return l
+	return neighbor.Build(inst, p.NeighborK)
 }
 
 // newSolver is New with an abort hook threaded into the construction LK
 // pass, so a cancelled Group stops building promptly. An aborted pass
 // still leaves a valid (just less optimized) initial incumbent.
-func newSolver(sc *Scratch, inst *tsp.Instance, p Params, seed int64, stop func() bool) *Solver {
+func newSolver(inst *tsp.Instance, p Params, seed int64, stop func() bool) *Solver {
 	p = p.normalize()
-	var st *neighbor.Storage
-	var optSc *lk.Scratch
-	if sc != nil {
-		st, optSc = &sc.csr, &sc.opt
-	}
-	nbr := resolveNeighbors(st, inst, p)
+	nbr := resolveNeighbors(inst, p)
 	rng := rand.New(rand.NewSource(seed))
 	s := &Solver{
 		Inst:   inst,
@@ -194,29 +156,17 @@ func newSolver(sc *Scratch, inst *tsp.Instance, p Params, seed int64, stop func(
 		strategy: p.Kick,
 		nbr:      nbr,
 		rng:      rng,
-		geomK:    p.GeomK,
-		beta:     p.CloseBeta,
-		walkLen:  p.WalkLen,
 		dist:     inst.DistFunc(),
-	}
-	// Scratch is sized once here so the steady-state kick loop never
-	// allocates: the double-bridge rewrite needs at most n cities and the
-	// Close strategy's subset at most n-1. With a Scratch the arrays come
-	// from recycled memory instead.
-	if sc != nil {
-		s.kicker.segBuf = sc.ints(&sc.segBuf, inst.N())
-	} else {
-		s.kicker.segBuf = make([]int32, 0, inst.N())
+		// Sized once so the steady-state kick loop never allocates: the
+		// double-bridge rewrite needs at most n cities.
+		segBuf: make([]int32, 0, inst.N()),
 	}
 	if p.Kick == KickClose {
-		if sc != nil {
-			s.kicker.subset = sc.ints(&sc.subset, inst.N())
-		} else {
-			s.kicker.subset = make([]int32, 0, inst.N())
-		}
+		// The Close strategy's subset holds at most n-1 cities.
+		s.kicker.subset = make([]int32, 0, inst.N())
 	}
 	initial := construct.Build(p.Construct, inst, nbr, rng)
-	s.opt = lk.NewOptimizerWith(optSc, inst, nbr, initial, p.LK)
+	s.opt = lk.NewOptimizer(inst, nbr, initial, p.LK)
 	s.opt.OptimizeAll(stop)
 	s.best = lk.NewArrayTour(s.opt.Tour.Tour())
 	s.bestLen = s.opt.Length()

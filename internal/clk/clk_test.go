@@ -123,9 +123,6 @@ func TestKickStrategiesSelectDistinctCities(t *testing.T) {
 			strategy: strat,
 			nbr:      nbr,
 			rng:      rand.New(rand.NewSource(7)),
-			geomK:    8,
-			beta:     0.1,
-			walkLen:  20,
 			dist:     in.DistFunc(),
 		}
 		for trial := 0; trial < 50; trial++ {
@@ -151,7 +148,6 @@ func TestGeometricKickIsLocal(t *testing.T) {
 		strategy: KickGeometric,
 		nbr:      nbr,
 		rng:      rand.New(rand.NewSource(13)),
-		geomK:    8,
 		dist:     in.DistFunc(),
 	}
 	dist := in.DistFunc()

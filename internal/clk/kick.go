@@ -53,15 +53,22 @@ func ParseKick(s string) (KickStrategy, error) {
 	return 0, fmt.Errorf("clk: unknown kick strategy %q", s)
 }
 
+// Kick strategy constants.
+const (
+	// geomK is the neighbourhood size for the Geometric strategy.
+	geomK = 16
+	// closeBeta is the subset fraction beta for the Close strategy.
+	closeBeta = 0.10
+	// walkLen is the number of steps per random walk for Random-walk.
+	walkLen = 30
+)
+
 // kicker selects double-bridge cities and applies the move. All scratch
 // buffers live on the kicker so steady-state kicking allocates nothing.
 type kicker struct {
 	strategy KickStrategy
 	nbr      *neighbor.Lists
 	rng      *rand.Rand
-	geomK    int
-	beta     float64
-	walkLen  int
 	dist     func(i, j int32) int64
 
 	subset []int32  // scratch for Close
@@ -82,7 +89,7 @@ func (k *kicker) selectCities(n int) [4]int32 {
 		v := int32(k.rng.Intn(n))
 		cs[0] = v
 		cand := k.nbr.Of(v)
-		kk := k.geomK
+		kk := geomK
 		if kk > len(cand) {
 			kk = len(cand)
 		}
@@ -90,7 +97,7 @@ func (k *kicker) selectCities(n int) [4]int32 {
 	case KickClose:
 		v := int32(k.rng.Intn(n))
 		cs[0] = v
-		size := int(k.beta * float64(n))
+		size := int(closeBeta * float64(n))
 		if size < 8 {
 			size = 8
 		}
@@ -193,7 +200,7 @@ func (k *kicker) pickDistinct(cand []int32, out []int32, n int) {
 //distlint:hotpath
 func (k *kicker) walk(from int32) int32 {
 	c := from
-	for i := 0; i < k.walkLen; i++ {
+	for i := 0; i < walkLen; i++ {
 		nb := k.nbr.Of(c)
 		c = nb[k.rng.Intn(len(nb))]
 	}

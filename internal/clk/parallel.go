@@ -127,7 +127,7 @@ func BuildGroup(inst *tsp.Instance, p Params, gp GroupParams, seed int64) *Group
 
 func newGroup(inst *tsp.Instance, p Params, gp GroupParams, seed int64, stop func() bool) *Group {
 	p = p.normalize()
-	p.Neighbors = resolveNeighbors(nil, inst, p)
+	p.Neighbors = resolveNeighbors(inst, p)
 	if gp.Workers <= 0 {
 		gp.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -150,7 +150,7 @@ func newGroup(inst *tsp.Instance, p Params, gp GroupParams, seed int64, stop fun
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			g.workers[i] = newSolver(nil, inst, p, seed+int64(i)*workerSeedSalt, stop)
+			g.workers[i] = newSolver(inst, p, seed+int64(i)*workerSeedSalt, stop)
 		}(i)
 	}
 	wg.Wait()

@@ -25,10 +25,6 @@ type Config struct {
 	KicksPerCall int64
 	// CLK configures the underlying Chained Lin-Kernighan solver.
 	CLK clk.Params
-	// RestartConstruct picks the construction heuristic for restarts
-	// (default NearestNeighbor from a random city, for diversity —
-	// Quick-Borůvka is deterministic and would always restart identically).
-	RestartConstruct construct.Method
 	// DisablePerturbation turns PERTURBATE into the identity, for the
 	// paper's "running without DBMs" ablation (§4.2).
 	DisablePerturbation bool
@@ -47,12 +43,16 @@ type Config struct {
 // DefaultConfig returns the paper's parameter setting.
 func DefaultConfig() Config {
 	return Config{
-		CV:               64,
-		CR:               256,
-		CLK:              clk.DefaultParams(),
-		RestartConstruct: construct.NearestNeighbor,
+		CV:  64,
+		CR:  256,
+		CLK: clk.DefaultParams(),
 	}
 }
+
+// restartConstruct is the construction heuristic for restarts: nearest
+// neighbour from a random city, for diversity — Quick-Borůvka is
+// deterministic and would always restart identically.
+const restartConstruct = construct.NearestNeighbor
 
 // Incoming is a tour received from a neighbouring node.
 type Incoming struct {
@@ -350,7 +350,7 @@ func (n *Node) CrashRecover() {
 	n.setPerturbLevel(1)
 	n.stats.Restarts++
 	n.rec.Restart()
-	n.solver.Reconstruct(n.cfg.RestartConstruct)
+	n.solver.Reconstruct(restartConstruct)
 	n.sBest, n.sBestLen = n.solver.Best()
 	n.sPrevLen = n.sBestLen
 	// The crash lost every worker's volatile state: the others restart
@@ -386,7 +386,7 @@ func (n *Node) perturbate() {
 		n.setPerturbLevel(1)
 		n.stats.Restarts++
 		n.rec.Restart()
-		n.solver.Reconstruct(n.cfg.RestartConstruct)
+		n.solver.Reconstruct(restartConstruct)
 		return
 	}
 	n.solver.SetTour(n.sBest)

@@ -14,11 +14,12 @@ import (
 // nearly identical cycles can disagree at every single position and the
 // diff degenerates to a full tour. Every stream falls back to a full tour
 // on first contact, on a keyframe cadence, whenever the diff would not be
-// smaller, and implicitly after a crash/restart or TCP reconnect (fresh
-// codec state on either side shows up as a generation gap that the next
-// keyframe heals). The codec is transport-agnostic: every transport runs
-// it through the node's Exchange, which is why simnet's fault matrix
-// doubles as the wire-protocol harness.
+// smaller, and after a restart (Exchange.Restart) or TCP reconnect
+// (Exchange.Forget); a delta that reaches a receiver without its base
+// shows up as a generation gap that the next keyframe heals. The codec
+// is transport-agnostic: every transport runs it through the node's
+// Exchange, which is why simnet's fault matrix doubles as the
+// wire-protocol harness.
 
 // ExchangeConfig selects how tours travel between nodes. The zero value
 // is the full-tour protocol — full tour to every topology neighbour on

@@ -194,6 +194,47 @@ func TestDecoderFreshStateFallsBackToFull(t *testing.T) {
 	}
 }
 
+// A restarted sender resumes with a full tour, and its generations carry
+// on from the old incarnation's: when that full tour is lost, a peer still
+// holding the old incarnation's first generation gaps on the next delta
+// instead of applying it to the old tour.
+func TestRestartedSenderNeverReusesGenerations(t *testing.T) {
+	ex := ExchangeConfig{Delta: true, KeyframeEvery: 16}
+	sender, peer := NewExchange(0, ex, 8, nil), NewExchange(1, ex, 8, nil)
+	// Three canonical tours, each one reversal from the one before, in
+	// disjoint position ranges: the last delta applied to the first tour
+	// is still a permutation, just the wrong one.
+	reverse := func(t tsp.Tour, i, j int) tsp.Tour {
+		t = t.Clone()
+		for ; i < j; i, j = i+1, j-1 {
+			t[i], t[j] = t[j], t[i]
+		}
+		return t
+	}
+	old := make(tsp.Tour, 60)
+	for i := range old {
+		old[i] = int32(i)
+	}
+	restarted := reverse(old, 10, 20)
+	next := reverse(restarted, 40, 50)
+
+	if got, _ := peer.Receive(sender.Encode(1, old, 590)); got != Queued {
+		t.Fatalf("first full tour: %v, want queued", got)
+	}
+	peer.Drain()
+	sender.Restart()
+	if w := sender.Encode(1, restarted, 580); !w.Full {
+		t.Fatal("restarted sender's first message is a delta")
+	} // lost on the way
+	w := sender.Encode(1, next, 570)
+	if w.Full {
+		t.Fatal("second message after the restart is full; the test needs a delta")
+	}
+	if got, tour := peer.Receive(w); got != Gap {
+		t.Fatalf("delta after a lost keyframe: %v, want a gap (decoded %v)", got, tour)
+	}
+}
+
 func TestEncoderFallsBackWhenDeltaIsNotSmaller(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	enc := &DeltaEncoder{}

@@ -171,6 +171,23 @@ func (x *Exchange) Drain() []core.Incoming {
 	return out
 }
 
+// Restart models a crash and restart of this node: the inbox and the
+// codec state of every stream, both ways, are lost, so each stream
+// resumes with a full tour. Each outgoing stream keeps counting its
+// generations, which stamps the new incarnation into the stream: a peer
+// that missed the new incarnation's first full tour still holds an old
+// generation, so the next delta gaps there instead of being applied to a
+// tour of the old incarnation.
+func (x *Exchange) Restart() {
+	x.mu.Lock()
+	x.inbox = nil
+	clear(x.decs)
+	for _, enc := range x.encs {
+		enc.last = nil
+	}
+	x.mu.Unlock()
+}
+
 // Forget drops the codec state of both streams with peer, so they restart
 // from a full tour — for a new connection to a peer whose old state went
 // with the old one.

@@ -20,15 +20,11 @@ type Params struct {
 	// Accepted moves still strictly improve the tour: only the closing
 	// test decides acceptance, and it is unchanged.
 	RelaxDepth int
-	// RelaxSlackPerMille bounds the dip as thousandths of the chain's
-	// first removed edge g0 (slack = g0*RelaxSlackPerMille/1000). <= 0
-	// selects the default of 100 (10% of g0) when RelaxDepth > 0.
-	RelaxSlackPerMille int
 }
 
-// defaultRelaxSlackPerMille is the slack used when RelaxDepth > 0 but no
-// explicit per-mille bound is given: 10% of the first removed edge.
-const defaultRelaxSlackPerMille = 100
+// relaxSlackPerMille bounds the relaxed rule's dip as thousandths of the
+// chain's first removed edge g0: slack = g0/10.
+const relaxSlackPerMille = 100
 
 // DefaultParams matches the breadth schedule used in practice by
 // Concorde-style implementations: wide at the first levels, then a greedy
@@ -85,12 +81,11 @@ type Optimizer struct {
 	bestPath []step
 	touched  []int32
 
-	// relaxed-gain state: relaxDepth/relaxPerMille are fixed at
-	// construction; relaxLimit is recomputed once per chain from g0 and
-	// read (not recomputed) on every dive level.
-	relaxDepth    int
-	relaxPerMille int64
-	relaxLimit    int64
+	// relaxed-gain state: relaxDepth is fixed at construction; relaxLimit
+	// is recomputed once per chain from g0 and read (not recomputed) on
+	// every dive level.
+	relaxDepth int
+	relaxLimit int64
 
 	// Moves counts accepted improving exchanges (for instrumentation).
 	Moves int64
@@ -101,7 +96,21 @@ type Optimizer struct {
 // Every scratch buffer the search can need is allocated here, pre-sized
 // from the instance and MaxDepth, so Optimize never grows a slice.
 func NewOptimizer(inst *tsp.Instance, nbr *neighbor.Lists, tour tsp.Tour, params Params) *Optimizer {
-	return NewOptimizerWith(nil, inst, nbr, tour, params)
+	n := inst.N()
+	return &Optimizer{
+		inst:       inst,
+		nbr:        nbr,
+		params:     params,
+		Tour:       NewArrayTour(tour),
+		length:     tour.Length(inst),
+		dist:       inst.DistFunc(),
+		queue:      make([]int32, 0, n),
+		inQueue:    make([]bool, n),
+		path:       make([]step, 0, params.MaxDepth),
+		bestPath:   make([]step, 0, params.MaxDepth),
+		touched:    make([]int32, 0, 3*params.MaxDepth+2),
+		relaxDepth: params.RelaxDepth,
+	}
 }
 
 // Length returns the current tour length (maintained incrementally).
@@ -256,7 +265,7 @@ func (o *Optimizer) tryChain(t1, loose int32) int64 {
 	if o.relaxDepth > 0 {
 		// One multiply/divide per chain, never per candidate: dive reads
 		// the precomputed limit.
-		o.relaxLimit = -(g0 * o.relaxPerMille / 1000)
+		o.relaxLimit = -(g0 * relaxSlackPerMille / 1000)
 	}
 	o.dive(loose, g0, 0)
 

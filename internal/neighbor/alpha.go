@@ -39,13 +39,6 @@ func sortByAlpha(s []alphaScored) {
 // overall (dominated by the ascent's Prim runs), so the auto-selector
 // never picks it — it is an explicit opt-in for hard instances.
 func BuildAlpha(in *tsp.Instance, k, ascentIters int) (*Lists, error) {
-	return BuildAlphaWith(nil, in, k, ascentIters)
-}
-
-// BuildAlphaWith is BuildAlpha drawing the final CSR backing arrays from
-// st (nil = allocate fresh; the transient pre-selection lists stay
-// unpooled). The returned Lists aliases st; see Storage.
-func BuildAlphaWith(st *Storage, in *tsp.Instance, k, ascentIters int) (*Lists, error) {
 	n := in.N()
 	if k > n-1 {
 		k = n - 1
@@ -163,5 +156,5 @@ func BuildAlphaWith(st *Storage, in *tsp.Instance, k, ascentIters int) (*Lists, 
 			out[i] = append(out[i], j)
 		}
 	}
-	return FromEdgesWith(st, in, out)
+	return FromEdges(in, out)
 }

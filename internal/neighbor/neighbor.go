@@ -122,15 +122,15 @@ func sortCands(s []candDist) {
 	})
 }
 
-// newUniform builds a Lists where every city has exactly k candidates,
-// drawing the backing arrays from st (nil = allocate fresh).
-func newUniform(st *Storage, n, k int) *Lists {
+// newUniform builds a Lists where every city has exactly k candidates.
+func newUniform(n, k int) *Lists {
 	l := &Lists{
-		k:   k,
-		n:   n,
-		off: st.offsets(n + 1),
+		k:    k,
+		n:    n,
+		off:  make([]int32, n+1),
+		flat: make([]int32, n*k),
+		dist: make([]int64, n*k),
 	}
-	l.flat, l.dist = st.payload(n * k)
 	for c := 0; c <= n; c++ {
 		l.off[c] = int32(c * k)
 	}
@@ -149,11 +149,7 @@ func (l *Lists) fill(city int32, pairs []candDist) {
 // Build constructs k-nearest-neighbour candidate lists with precomputed
 // distances. k is clamped to n-1. Construction is parallel across
 // GOMAXPROCS workers (the k-d tree is built once and queried read-only).
-func Build(in *tsp.Instance, k int) *Lists { return BuildWith(nil, in, k) }
-
-// BuildWith is Build drawing the CSR backing arrays from st (nil =
-// allocate fresh). The returned Lists aliases st; see Storage.
-func BuildWith(st *Storage, in *tsp.Instance, k int) *Lists {
+func Build(in *tsp.Instance, k int) *Lists {
 	n := in.N()
 	if k > n-1 {
 		k = n - 1
@@ -161,7 +157,7 @@ func BuildWith(st *Storage, in *tsp.Instance, k int) *Lists {
 	if k < 1 {
 		k = 1
 	}
-	l := newUniform(st, n, k)
+	l := newUniform(n, k)
 	dist := in.DistFunc()
 	if in.Explicit() || n <= 64 {
 		par.For(n, func(lo, hi int) {
@@ -210,21 +206,15 @@ func BuildWith(st *Storage, in *tsp.Instance, k int) *Lists {
 // around it, padded with globally nearest cities when quadrants are sparse.
 // Quadrant lists avoid candidate starvation in strongly clustered instances.
 func BuildQuadrant(in *tsp.Instance, perQuad int) *Lists {
-	return BuildQuadrantWith(nil, in, perQuad)
-}
-
-// BuildQuadrantWith is BuildQuadrant drawing the CSR backing arrays from
-// st (nil = allocate fresh). The returned Lists aliases st; see Storage.
-func BuildQuadrantWith(st *Storage, in *tsp.Instance, perQuad int) *Lists {
 	n := in.N()
 	k := 4 * perQuad
 	if k > n-1 {
 		k = n - 1
 	}
 	if in.Explicit() {
-		return BuildWith(st, in, k)
+		return Build(in, k)
 	}
-	l := newUniform(st, n, k)
+	l := newUniform(n, k)
 	tree := geom.NewKDTree(in.Pts)
 	dist := in.DistFunc()
 	fetch := 4 * k
@@ -302,12 +292,6 @@ func BuildQuadrantWith(st *Storage, in *tsp.Instance, perQuad int) *Lists {
 // alpha selection, Delaunay adjacency) is supposed to emit clean edges, so
 // a bad entry is a bug worth surfacing at the boundary.
 func FromEdges(in *tsp.Instance, adj [][]int32) (*Lists, error) {
-	return FromEdgesWith(nil, in, adj)
-}
-
-// FromEdgesWith is FromEdges drawing the CSR backing arrays from st (nil =
-// allocate fresh). The returned Lists aliases st; see Storage.
-func FromEdgesWith(st *Storage, in *tsp.Instance, adj [][]int32) (*Lists, error) {
 	n := in.N()
 	if len(adj) != n {
 		return nil, fmt.Errorf("neighbor: FromEdges: adjacency has %d cities, instance has %d", len(adj), n)
@@ -351,7 +335,7 @@ func FromEdgesWith(st *Storage, in *tsp.Instance, adj [][]int32) (*Lists, error)
 			perCity[c] = s
 		}
 	})
-	l := &Lists{n: n, off: st.offsets(n + 1)}
+	l := &Lists{n: n, off: make([]int32, n+1)}
 	total := 0
 	for c, s := range perCity {
 		l.off[c] = int32(total)
@@ -361,7 +345,7 @@ func FromEdgesWith(st *Storage, in *tsp.Instance, adj [][]int32) (*Lists, error)
 		}
 	}
 	l.off[n] = int32(total)
-	l.flat, l.dist = st.payload(total)
+	l.flat, l.dist = make([]int32, total), make([]int64, total)
 	for c, s := range perCity {
 		l.fill(int32(c), s)
 	}

@@ -22,10 +22,9 @@ type Strategy struct {
 	NeedsCoords bool
 	// Cost is the asymptotic build cost, for documentation.
 	Cost string
-	// Build constructs the lists, drawing CSR backing arrays from st (nil
-	// = allocate fresh; see Storage). k is the per-city candidate budget;
+	// Build constructs the lists. k is the per-city candidate budget;
 	// strategies with a natural degree (delaunay) may ignore it.
-	Build func(st *Storage, in *tsp.Instance, k int) (*Lists, error)
+	Build func(in *tsp.Instance, k int) (*Lists, error)
 }
 
 // strategies is the fixed registry, in documentation order. A slice, not a
@@ -35,8 +34,8 @@ var strategies = []Strategy{
 		Name: "knn",
 		Doc:  "k nearest neighbours per city (k-d tree); the historical default",
 		Cost: "O(n log n)",
-		Build: func(st *Storage, in *tsp.Instance, k int) (*Lists, error) {
-			return BuildWith(st, in, k), nil
+		Build: func(in *tsp.Instance, k int) (*Lists, error) {
+			return Build(in, k), nil
 		},
 	},
 	{
@@ -44,16 +43,16 @@ var strategies = []Strategy{
 		Doc:         "ceil(k/4) nearest per coordinate quadrant; resists candidate starvation on clustered instances",
 		NeedsCoords: false, // falls back to knn on explicit instances, like BuildQuadrant
 		Cost:        "O(n log n)",
-		Build: func(st *Storage, in *tsp.Instance, k int) (*Lists, error) {
-			return BuildQuadrantWith(st, in, (k+3)/4), nil
+		Build: func(in *tsp.Instance, k int) (*Lists, error) {
+			return BuildQuadrant(in, (k+3)/4), nil
 		},
 	},
 	{
 		Name: "alpha",
 		Doc:  "LKH alpha-nearness ranking from a Held-Karp 1-tree; strongest lists, quadratic build",
 		Cost: "O(n^2)",
-		Build: func(st *Storage, in *tsp.Instance, k int) (*Lists, error) {
-			return BuildAlphaWith(st, in, k, DefaultAscentIterations)
+		Build: func(in *tsp.Instance, k int) (*Lists, error) {
+			return BuildAlpha(in, k, DefaultAscentIterations)
 		},
 	},
 	{
@@ -61,7 +60,7 @@ var strategies = []Strategy{
 		Doc:         "Delaunay triangulation edges (natural degree ~6, ignores k); planar connectivity without tuning",
 		NeedsCoords: true,
 		Cost:        "O(n log n)",
-		Build:       BuildDelaunayWith,
+		Build:       BuildDelaunay,
 	},
 }
 
@@ -105,12 +104,6 @@ func ByName(name string) (Strategy, error) {
 // representative itself). Errors on explicit instances and on all-collinear
 // geometry.
 func BuildDelaunay(in *tsp.Instance, k int) (*Lists, error) {
-	return BuildDelaunayWith(nil, in, k)
-}
-
-// BuildDelaunayWith is BuildDelaunay drawing the CSR backing arrays from
-// st (nil = allocate fresh). The returned Lists aliases st; see Storage.
-func BuildDelaunayWith(st *Storage, in *tsp.Instance, k int) (*Lists, error) {
 	_ = k
 	if in.Explicit() {
 		return nil, fmt.Errorf("neighbor: delaunay strategy needs coordinates; instance %q is matrix-only", in.Name)
@@ -154,7 +147,7 @@ func BuildDelaunayWith(st *Storage, in *tsp.Instance, k int) (*Lists, error) {
 			}
 		}
 	}
-	return FromEdgesWith(st, in, adj)
+	return FromEdges(in, adj)
 }
 
 // Choice is the auto-selector's decision: which strategy to build and
@@ -209,22 +202,16 @@ func Auto(st tsp.Stats) Choice {
 // must always produce usable lists. An explicitly named strategy that fails
 // returns its error instead: the caller asked for exactly that builder.
 func Select(in *tsp.Instance, name string, k int) (*Lists, Choice, error) {
-	return SelectWith(nil, in, name, k)
-}
-
-// SelectWith is Select drawing the CSR backing arrays from storage (nil =
-// allocate fresh). The returned Lists aliases storage; see Storage.
-func SelectWith(storage *Storage, in *tsp.Instance, name string, k int) (*Lists, Choice, error) {
 	if name == "" || name == "auto" {
 		ch := Auto(tsp.Describe(in))
 		st, err := ByName(ch.Strategy)
 		if err != nil {
 			return nil, Choice{}, err
 		}
-		l, err := st.Build(storage, in, k)
+		l, err := st.Build(in, k)
 		if err != nil {
 			ch = Choice{Strategy: "knn", Reason: fmt.Sprintf("fallback: %s failed (%v)", st.Name, err)}
-			l = BuildWith(storage, in, k)
+			l = Build(in, k)
 		}
 		return l, ch, nil
 	}
@@ -232,7 +219,7 @@ func SelectWith(storage *Storage, in *tsp.Instance, name string, k int) (*Lists,
 	if err != nil {
 		return nil, Choice{}, err
 	}
-	l, err := st.Build(storage, in, k)
+	l, err := st.Build(in, k)
 	if err != nil {
 		return nil, Choice{}, err
 	}

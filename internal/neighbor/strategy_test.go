@@ -64,7 +64,7 @@ func TestStrategyDistanceTablesMatchInstance(t *testing.T) {
 			}
 			in := tsp.New("strat-"+m.String(), m, pts)
 			for _, s := range Strategies() {
-				l, err := s.Build(nil, in, 8)
+				l, err := s.Build(in, 8)
 				if err != nil {
 					t.Fatalf("%s: %v", s.Name, err)
 				}

@@ -8,6 +8,7 @@ import (
 	"distclk/internal/clk"
 	"distclk/internal/core"
 	"distclk/internal/heldkarp"
+	"distclk/internal/neighbor"
 	"distclk/internal/obs"
 	"distclk/internal/simnet"
 	"distclk/internal/stats"
@@ -165,8 +166,14 @@ func (r *Runner) CLKRuns(name string, kick clk.KickStrategy, kicks int64, runs i
 // a registered neighbor strategy, `relax` is the LK relaxed-gain depth
 // (0 = classic rule).
 func (r *Runner) CLKCandRuns(name, cand string, relax int, kicks int64, runs int, seed int64) ([]Trace, error) {
+	in, err := r.Instance(name)
+	if err != nil {
+		return nil, err
+	}
 	p := clk.DefaultParams()
-	p.Candidates = cand
+	if p.Neighbors, _, err = neighbor.Select(in, cand, p.NeighborK); err != nil {
+		return nil, err
+	}
 	p.LK.RelaxDepth = relax
 	return r.clkRuns(fmt.Sprintf("%s/CLK-%s-relax%d", name, cand, relax), name, p, kicks, runs, seed)
 }

@@ -15,9 +15,7 @@
 //     always prefer interactive jobs; batch jobs run when no interactive
 //     work is queued.
 //   - Pool: a fixed set of worker goroutines, each solving one job at a
-//     time with per-job scratch memory (CSR candidate tables, LK buffers,
-//     kick buffers) drawn from a sync.Pool so steady-state traffic reuses
-//     buffers instead of re-allocating them per job.
+//     time.
 //   - Cache: an LRU over marshaled response bodies keyed by the SHA-256
 //     instance hash plus the canonical parameter string; a hit replays
 //     the stored bytes without touching the queue.

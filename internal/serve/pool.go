@@ -5,8 +5,6 @@ import (
 	"errors"
 	"sync"
 	"sync/atomic"
-
-	"distclk/internal/clk"
 )
 
 // Admission errors; the HTTP layer maps them to 429 and 503.
@@ -17,44 +15,29 @@ var (
 
 // pool runs admitted jobs on a fixed set of workers. Two bounded FIFO
 // classes implement the priority scheme: workers always prefer
-// interactive jobs and fall back to batch. Per-job scratch memory comes
-// from a sync.Pool so steady-state traffic recycles the CSR tables and
-// LK/kick buffers instead of re-allocating them per job (the refactor
-// ROADMAP item 1 flags as in-scope).
+// interactive jobs and fall back to batch.
 type pool struct {
 	interactive chan *job
 	batch       chan *job
 	stop        chan struct{} // closed by shutdown: drain and exit
 	wg          sync.WaitGroup
-	run         func(ctx context.Context, j *job, sc *clk.Scratch)
+	run         func(ctx context.Context, j *job) (finish func())
 
 	draining atomic.Bool
 	active   atomic.Int64
 	complete atomic.Int64
 	rejected atomic.Int64
-
-	scratch       scratchPool
-	scratchGets   atomic.Int64
-	scratchMisses atomic.Int64
-}
-
-// scratchPool holds idle per-job scratch: a sync.Pool (without New) in
-// the service, a deterministic free list in tests. Get returns nil when
-// nothing can be recycled.
-type scratchPool interface {
-	Get() any
-	Put(any)
 }
 
 // newPool starts `workers` goroutines under ctx (the server's root
-// context, NOT a request context). run executes one job synchronously.
-func newPool(ctx context.Context, workers, depth int, run func(ctx context.Context, j *job, sc *clk.Scratch)) *pool {
+// context, NOT a request context). run executes one job synchronously and
+// returns what completes it (nil when there is nothing to complete).
+func newPool(ctx context.Context, workers, depth int, run func(ctx context.Context, j *job) (finish func())) *pool {
 	p := &pool{
 		interactive: make(chan *job, depth),
 		batch:       make(chan *job, depth),
 		stop:        make(chan struct{}),
 		run:         run,
-		scratch:     new(sync.Pool),
 	}
 	p.wg.Add(workers)
 	for i := 0; i < workers; i++ {
@@ -115,23 +98,17 @@ func (p *pool) worker(ctx context.Context) {
 	}
 }
 
-// execute runs one job with pooled scratch. The scratch returns to the
-// pool on every path — including deadline-cancelled and failed solves —
-// so a cancelled job frees its buffers for the next one.
+// execute runs one job. The counters change before the job's waiters are
+// released, so a client that reads /v1/stats after its response sees the
+// job completed.
 func (p *pool) execute(ctx context.Context, j *job) {
 	p.active.Add(1)
-	defer p.active.Add(-1)
-	defer p.complete.Add(1)
-	p.scratchGets.Add(1)
-	sc, _ := p.scratch.Get().(*clk.Scratch)
-	if sc == nil {
-		// Every Get that cannot recycle lands here, so gets - misses =
-		// pool hits.
-		p.scratchMisses.Add(1)
-		sc = new(clk.Scratch)
+	finish := p.run(ctx, j)
+	p.active.Add(-1)
+	p.complete.Add(1)
+	if finish != nil {
+		finish()
 	}
-	defer p.scratch.Put(sc)
-	p.run(ctx, j, sc)
 }
 
 // beginDrain stops admissions and tells workers to exit once the queues

@@ -11,7 +11,6 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
@@ -380,38 +379,10 @@ func TestStreamClientDisconnectNoLeak(t *testing.T) {
 	t.Errorf("goroutines leaked: %d running, baseline %d", runtime.NumGoroutine(), baseline)
 }
 
-// freeList is a deterministic scratchPool: a Put is visible to the next
-// Get whatever goroutine or P either runs on, unlike sync.Pool's per-P
-// slots, which the race detector also drops Puts from on purpose.
-type freeList struct {
-	mu   sync.Mutex
-	idle []any
-}
-
-func (f *freeList) Get() any {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if len(f.idle) == 0 {
-		return nil
-	}
-	x := f.idle[len(f.idle)-1]
-	f.idle = f.idle[:len(f.idle)-1]
-	return x
-}
-
-func (f *freeList) Put(x any) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.idle = append(f.idle, x)
-}
-
-// A cancelled job must return its pooled scratch for reuse: with one
-// worker, the follow-up jobs recycle it instead of allocating fresh
-// buffers. The pool is a free list so the count does not hinge on which
-// P sync.Pool parks the returned scratch on.
-func TestCancelledJobFreesScratchForReuse(t *testing.T) {
-	svc, ts := testServer(t, Options{Workers: 1})
-	svc.pool.scratch = &freeList{}
+// A cancelled job must free its worker: with one worker, three
+// follow-up solves still complete with 200.
+func TestCancelledJobFreesWorker(t *testing.T) {
+	_, ts := testServer(t, Options{Workers: 1})
 	js := submitAsync(t, ts.URL, reqBody(t, 400, 8, SolveParams{BudgetMS: 10_000}, ""))
 	waitState(t, ts.URL, js.JobID, stateRunning)
 	cancelJob(t, ts.URL, js.JobID)
@@ -422,13 +393,6 @@ func TestCancelledJobFreesScratchForReuse(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("follow-up solve status %d: %s", resp.StatusCode, raw)
 		}
-	}
-	gets, misses := svc.pool.scratchGets.Load(), svc.pool.scratchMisses.Load()
-	if gets != 4 {
-		t.Fatalf("scratch gets %d, want 4", gets)
-	}
-	if misses != 1 {
-		t.Fatalf("scratch misses %d, want 1 (steady-state jobs must reuse the pooled scratch)", misses)
 	}
 }
 
@@ -528,7 +492,7 @@ func TestHealthzAndStats(t *testing.T) {
 	if err := json.NewDecoder(sresp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Completed != 1 || st.Workers != 1 || st.ScratchGets != 1 {
+	if st.Completed != 1 || st.Workers != 1 {
 		t.Fatalf("stats %+v, want one completed job on one worker", st)
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"distclk"
-	"distclk/internal/clk"
 	"distclk/internal/obs"
 )
 
@@ -316,8 +315,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		CacheHits:     hits,
 		CacheMisses:   misses,
 		CacheEntries:  entries,
-		ScratchGets:   s.pool.scratchGets.Load(),
-		ScratchMisses: s.pool.scratchMisses.Load(),
 		EventsDropped: dropped,
 		Draining:      s.pool.draining.Load(),
 	}
@@ -379,19 +376,19 @@ func streamKind(k obs.Kind) bool {
 // runJob executes one admitted job on a pool worker. ctx is the
 // server's root job context; the per-job context layered on it is what
 // DELETE and shutdown cancel. The solve budget itself is enforced by
-// the facade (WithBudget), so a well-behaved job ends on its own.
-func (s *Server) runJob(ctx context.Context, j *job, sc *clk.Scratch) {
+// the facade (WithBudget), so a well-behaved job ends on its own. It
+// returns what completes the job, for the pool to call.
+func (s *Server) runJob(ctx context.Context, j *job) (finish func()) {
 	jctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	if !j.setRunning(cancel) {
-		return // cancelled while queued
+		return nil // cancelled while queued
 	}
 	opts := []distclk.Option{
 		distclk.WithKick(j.params.Kick),
 		distclk.WithCandidates(j.params.Candidates),
 		distclk.WithSeed(j.params.Seed),
 		distclk.WithBudget(time.Duration(j.params.BudgetMS) * time.Millisecond),
-		distclk.WithScratch(sc),
 		distclk.WithEventSink(obs.Filter(j.bcast, streamKind)),
 	}
 	if j.params.MaxKicks > 0 {
@@ -405,7 +402,7 @@ func (s *Server) runJob(ctx context.Context, j *job, sc *clk.Scratch) {
 	}
 	solver, err := distclk.New(j.in, opts...)
 	if err != nil {
-		s.finishJob(j, stateFailed, &SolveResponse{
+		return s.finishJob(j, stateFailed, &SolveResponse{
 			Status:       stateFailed,
 			Name:         j.in.Name,
 			N:            j.in.N(),
@@ -413,7 +410,6 @@ func (s *Server) runJob(ctx context.Context, j *job, sc *clk.Scratch) {
 			Params:       j.params.canonical(),
 			Error:        err.Error(),
 		}, false)
-		return
 	}
 
 	// Forward periodic progress snapshots into the event stream: the
@@ -439,7 +435,7 @@ func (s *Server) runJob(ctx context.Context, j *job, sc *clk.Scratch) {
 	fwd.Wait()
 	cancelled := jctx.Err() != nil
 	if err != nil {
-		s.finishJob(j, stateFailed, &SolveResponse{
+		return s.finishJob(j, stateFailed, &SolveResponse{
 			Status:       stateFailed,
 			Name:         j.in.Name,
 			N:            j.in.N(),
@@ -447,7 +443,6 @@ func (s *Server) runJob(ctx context.Context, j *job, sc *clk.Scratch) {
 			Params:       j.params.canonical(),
 			Error:        err.Error(),
 		}, false)
-		return
 	}
 	state := stateDone
 	if cancelled {
@@ -466,12 +461,12 @@ func (s *Server) runJob(ctx context.Context, j *job, sc *clk.Scratch) {
 	}
 	// Only an uninterrupted solve is the canonical result for its
 	// parameters: cancelled best-so-far tours must not poison the cache.
-	s.finishJob(j, state, resp, !cancelled)
+	return s.finishJob(j, state, resp, !cancelled)
 }
 
 // finishJob marshals the terminal response, optionally caches it, and
-// completes the job.
-func (s *Server) finishJob(j *job, state string, resp *SolveResponse, cacheIt bool) {
+// returns what completes the job.
+func (s *Server) finishJob(j *job, state string, resp *SolveResponse, cacheIt bool) func() {
 	body, err := json.Marshal(resp)
 	if err != nil {
 		// Marshaling a SolveResponse cannot fail (plain fields only);
@@ -483,7 +478,7 @@ func (s *Server) finishJob(j *job, state string, resp *SolveResponse, cacheIt bo
 	if cacheIt {
 		s.cache.put(j.key, body)
 	}
-	j.finish(state, resp, body)
+	return func() { j.finish(state, resp, body) }
 }
 
 func kicksOf(res distclk.Result) int64 {

@@ -184,10 +184,14 @@ type Stats struct {
 	CacheHits     int64 `json:"cache_hits"`
 	CacheMisses   int64 `json:"cache_misses"`
 	CacheEntries  int   `json:"cache_entries"`
-	ScratchGets   int64 `json:"scratch_gets"`
-	ScratchMisses int64 `json:"scratch_misses"`
 	EventsDropped int64 `json:"events_dropped"`
 	Draining      bool  `json:"draining"`
+
+	// ScratchGets and ScratchMisses are never set and never encoded. They
+	// remain because perfbench/serve.go still reads them for its
+	// serve.scratch_reuse diagnostic, which now reads 0.
+	ScratchGets   int64 `json:"-"`
+	ScratchMisses int64 `json:"-"`
 }
 
 // parsePriority maps the request class to a queue, defaulting to

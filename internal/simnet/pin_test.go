@@ -15,10 +15,10 @@ import (
 )
 
 // TestPinnedRuns pins seeded runs to the sha256 of their JSON event log,
-// of their FaultStats and of their per-node counters. The digests were
-// recorded before the exchange rules moved into dist.Exchange; any change
-// to the rng draw order, the event order or the wire ledger shows up here
-// as a different digest, not only as a replay that disagrees with itself.
+// of their FaultStats and of their per-node counters; any change to the
+// rng draw order, the event order or the wire ledger shows up here as a
+// different digest, not only as a replay that disagrees with itself.
+// Every run must decode each delivered tour to exactly the tour sent.
 func TestPinnedRuns(t *testing.T) {
 	crash := []Crash{{Node: 5, At: 300 * time.Millisecond, Restart: 700 * time.Millisecond, Fresh: true}}
 	cases := []struct {
@@ -46,11 +46,10 @@ func TestPinnedRuns(t *testing.T) {
 			counter: "b87ea9eed7160f005b93b3c4ca2016f895287b9b3f30766ebd2c6d25dafbf4c3",
 		},
 		{
-			// FaultStats here hold one DeltaMismatches: after node 5's
-			// fresh restart its streams start again at generation 1, and
-			// node 2 still holds generation 1 of the old incarnation, so
-			// a delta whose keyframe was lost applies to the wrong base.
-			// The digests move when that is fixed.
+			// After node 5's fresh restart a keyframe to node 2 is lost;
+			// node 2 still holds the old incarnation's stream, and the
+			// next delta gaps there because generations never repeat
+			// across a restart.
 			name: "gossip",
 			cfg: Config{
 				Nodes:    8,
@@ -61,9 +60,9 @@ func TestPinnedRuns(t *testing.T) {
 				Exchange: dist.ExchangeConfig{Delta: true, KeyframeEvery: 16, Gossip: true, Fanout: 3},
 				Crashes:  crash,
 			},
-			events:  "896b32245e740b379fcdf3e8d6b37b3f91c3e4dd7d3eea2589dd2de979ec02cb",
-			faults:  "f0e0e2efc847972e2a6507cae085542d229a77d9dbd25b043ed77a19a511506e",
-			counter: "ccd1f6992d32b28fba39fb3e68679722a0883dd7e84d5d70c02b257a346bedfe",
+			events:  "675b2eae2c561d268386e700309dc880333cc8b84ccd6f540918a44356483136",
+			faults:  "7628346867eeb81b58f7ac11a8b2922a6de11887be7f101f04afb8a8c97dbaa2",
+			counter: "26649b0d6e0214bbd85cdd58ea697cbe406768c1f6bc42b491228b5cb37576b9",
 		},
 		{
 			// The full-tour protocol with coalescing: the bandwidth model
@@ -92,6 +91,9 @@ func TestPinnedRuns(t *testing.T) {
 			events := digest(marshalLog(t, res.Events))
 			faults := digest(mustJSON(t, res.Faults))
 			counters := digest(mustJSON(t, res.Counters))
+			if res.Faults.DeltaMismatches != 0 {
+				t.Errorf("%d decoded tours differ from the tour sent", res.Faults.DeltaMismatches)
+			}
 			if events != c.events || faults != c.faults || counters != c.counter {
 				t.Errorf("digests moved (faults %+v):\n events   %s\n faults   %s\n counters %s", res.Faults, events, faults, counters)
 			}

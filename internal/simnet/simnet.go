@@ -130,14 +130,13 @@ type Network struct {
 	n    int
 	topo topology.Kind
 	link Link
-	cap  int
 	ex   dist.ExchangeConfig
 
 	sched *scheduler
 	rng   *rand.Rand
 	obs   *obs.Observer
 
-	// xs[i] is node i's exchange endpoint. A crash replaces it: the
+	// xs[i] is node i's exchange endpoint. A crash restarts it: the
 	// node's inbox and its delta streams, both ways, die with the process,
 	// so it resumes with full tours on restart.
 	xs          []*dist.Exchange
@@ -156,7 +155,6 @@ func newNetwork(n int, topo topology.Kind, link Link, capacity int, ex dist.Exch
 		n:       n,
 		topo:    topo,
 		link:    link,
-		cap:     capacity,
 		ex:      ex,
 		sched:   sched,
 		rng:     rng,
@@ -166,13 +164,9 @@ func newNetwork(n int, topo topology.Kind, link Link, capacity int, ex dist.Exch
 		groupOf: make([]int, n),
 	}
 	for i := range nw.xs {
-		nw.xs[i] = nw.newExchange(i)
+		nw.xs[i] = dist.NewExchange(i, ex, capacity, o.Recorder(i))
 	}
 	return nw
-}
-
-func (nw *Network) newExchange(id int) *dist.Exchange {
-	return dist.NewExchange(id, nw.ex, nw.cap, nw.obs.Recorder(id))
 }
 
 // Comm returns node id's view of the network.
@@ -309,7 +303,7 @@ func (nw *Network) healPartition() {
 // full tours again, and its peers' deltas gap until their next keyframe.
 func (nw *Network) crash(id int) {
 	nw.crashed[id] = true
-	nw.xs[id] = nw.newExchange(id)
+	nw.xs[id].Restart()
 	nw.obs.Record(obs.KindNodeCrash, id, 0, -1)
 }
 

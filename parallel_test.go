@@ -9,6 +9,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"distclk/internal/clk"
+	"distclk/internal/neighbor"
 )
 
 func TestBuildCollectsAllOptionErrors(t *testing.T) {
@@ -69,30 +72,35 @@ func TestOptionMatrixValidation(t *testing.T) {
 }
 
 // TestParallelCLKDeterminismAtOneWorker pins the compatibility contract:
-// WithWorkers(1) — the default — must return the byte-identical tour the
-// facade returned before the parallel path existed, for a given seed.
+// a one-worker solve — the default — runs a one-worker clk.Group, and must
+// return the byte-identical tour a plain clk.Solver run returns for the
+// same candidate lists and seed.
 func TestParallelCLKDeterminismAtOneWorker(t *testing.T) {
 	in, _ := Generate("uniform", 300, 11)
-	solve := func(opts ...Option) Result {
-		t.Helper()
+	nbr, choice, err := neighbor.Select(in, "auto", clk.DefaultParams().NeighborK)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := clk.DefaultParams()
+	p.Neighbors = nbr
+	p.LK.RelaxDepth = choice.RelaxDepth
+	want := clk.New(in, p, 17).Run(context.Background(), clk.Budget{MaxKicks: 150})
+	for _, opts := range [][]Option{nil, {WithWorkers(1)}} {
 		s, err := New(in, append([]Option{WithMaxKicks(150), WithSeed(17)}, opts...)...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := s.Solve(context.Background())
+		got, err := s.Solve(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
-	}
-	want := solve()
-	got := solve(WithWorkers(1))
-	if got.Length != want.Length {
-		t.Fatalf("WithWorkers(1) length %d != default length %d", got.Length, want.Length)
-	}
-	for i := range want.Tour {
-		if got.Tour[i] != want.Tour[i] {
-			t.Fatalf("tours diverge at position %d", i)
+		if got.Length != want.Length {
+			t.Fatalf("facade length %d != Solver.Run length %d", got.Length, want.Length)
+		}
+		for i := range want.Tour {
+			if got.Tour[i] != want.Tour[i] {
+				t.Fatalf("tours diverge at position %d", i)
+			}
 		}
 	}
 }
