@@ -21,7 +21,6 @@ import (
 	"distclk/internal/cli"
 	"distclk/internal/clk"
 	"distclk/internal/obs"
-	"distclk/internal/tsp"
 )
 
 func main() {
@@ -78,13 +77,7 @@ func main() {
 		res.Length, res.Kicks, res.Improves, time.Since(start).Seconds())
 
 	if *tourOut != "" {
-		f, err := os.Create(*tourOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "clk:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := tsp.WriteTourFile(f, in.Name, res.Tour); err != nil {
+		if err := cli.WriteTour(*tourOut, in.Name, res.Tour); err != nil {
 			fmt.Fprintln(os.Stderr, "clk:", err)
 			os.Exit(1)
 		}

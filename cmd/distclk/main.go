@@ -178,24 +178,23 @@ func main() {
 		fmt.Printf("cluster: %d nodes, %d broadcasts, best %d in %.2fs wall\n",
 			*nodes, res.Broadcasts(), bestLen, res.Elapsed.Seconds())
 		for _, s := range res.Stats {
-			fmt.Printf("  node %d: best=%d iters=%d kicks=%d sent=%d recv=%d accepted=%d restarts=%d\n",
-				s.NodeID, s.BestLength, s.Iterations, s.Kicks, s.Broadcasts, s.Received, s.Accepted, s.Restarts)
+			printNode("  ", s)
 		}
 	}
 	fmt.Printf("final: len=%d\n", bestLen)
 
 	if *tourOut != "" {
-		f, err := os.Create(*tourOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "distclk:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := tsp.WriteTourFile(f, in.Name, best); err != nil {
+		if err := cli.WriteTour(*tourOut, in.Name, best); err != nil {
 			fmt.Fprintln(os.Stderr, "distclk:", err)
 			os.Exit(1)
 		}
 	}
+}
+
+// printNode prints one node's counters on one line, after indent.
+func printNode(indent string, s obs.CounterSnapshot) {
+	fmt.Printf("%snode %d: best=%d iters=%d kicks=%d sent=%d recv=%d accepted=%d restarts=%d\n",
+		indent, s.Node, s.BestLength, s.Iterations, s.Kicks, s.Broadcasts, s.Received, s.Accepted, s.Restarts)
 }
 
 // candidates builds the -candidates lists once, through the neighbor.Select
@@ -240,8 +239,7 @@ func runSimnet(ctx context.Context, in *tsp.Instance, kind topology.Kind, ea cor
 		fmt.Printf("simnet: target reached at virtual %.2fs\n", res.TargetReachedAt.Seconds())
 	}
 	for _, s := range res.Stats {
-		fmt.Printf("  node %d: best=%d iters=%d kicks=%d sent=%d recv=%d accepted=%d restarts=%d\n",
-			s.NodeID, s.BestLength, s.Iterations, s.Kicks, s.Broadcasts, s.Received, s.Accepted, s.Restarts)
+		printNode("  ", s)
 	}
 	return res.BestTour, res.BestLength
 }
@@ -265,9 +263,7 @@ func runTCPNode(ctx context.Context, in *tsp.Instance, hubAddr, listen string, e
 	if err := cli.ServeDebug(pprofAd, metrics, func() any { return tn.Recorder().Snapshot() }); err != nil {
 		return nil, 0, err
 	}
-	stats := node.Run(ctx, core.Budget{Target: target})
-	fmt.Printf("node %d: best=%d iters=%d kicks=%d sent=%d recv=%d accepted=%d restarts=%d\n",
-		stats.NodeID, stats.BestLength, stats.Iterations, stats.Kicks, stats.Broadcasts, stats.Received, stats.Accepted, stats.Restarts)
+	printNode("", node.Run(ctx, core.Budget{Target: target}))
 	tour, l := node.Best()
 	return tour, l, nil
 }

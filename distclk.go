@@ -569,7 +569,7 @@ func (s *Solver) snapshot() Snapshot {
 	for i, c := range counters {
 		kicks += c.Kicks
 		restarts += c.Restarts
-		broadcasts += c.BroadcastsSent
+		broadcasts += c.Broadcasts
 		workerKicks[i] = c.Kicks
 	}
 	elapsed := s.observer.Elapsed()
@@ -657,6 +657,9 @@ func (s *Solver) Solve(ctx context.Context) (Result, error) {
 	}
 	res.Elapsed = time.Since(start)
 	res.PerNode = s.observer.Counters()
+	for _, c := range res.PerNode {
+		res.Broadcasts += c.Broadcasts
+	}
 	return res, nil
 }
 
@@ -719,9 +722,8 @@ func (s *Solver) solveCluster(ctx context.Context, nbr *neighbor.Lists, relax in
 		Obs:      s.observer,
 	})
 	return Result{
-		Tour:       res.BestTour,
-		Length:     res.BestLength,
-		Nodes:      s.o.nodes,
-		Broadcasts: res.Broadcasts(),
+		Tour:   res.BestTour,
+		Length: res.BestLength,
+		Nodes:  s.o.nodes,
 	}
 }

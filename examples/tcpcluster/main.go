@@ -17,6 +17,7 @@ import (
 	"distclk"
 	"distclk/internal/core"
 	"distclk/internal/dist"
+	"distclk/internal/obs"
 	"distclk/internal/topology"
 )
 
@@ -37,7 +38,7 @@ func main() {
 	fmt.Printf("hub listening on %s\n", hub.Addr())
 
 	var wg sync.WaitGroup
-	stats := make([]core.Stats, nodes)
+	stats := make([]obs.CounterSnapshot, nodes)
 	for i := 0; i < nodes; i++ {
 		wg.Add(1)
 		go func(idx int) {
@@ -63,7 +64,7 @@ func main() {
 	best := int64(0)
 	for _, s := range stats {
 		fmt.Printf("node %d: best %d, %d iterations, sent %d, received %d\n",
-			s.NodeID, s.BestLength, s.Iterations, s.Broadcasts, s.Received)
+			s.Node, s.BestLength, s.Iterations, s.Broadcasts, s.Received)
 		if s.BestLength > 0 && (best == 0 || s.BestLength < best) {
 			best = s.BestLength
 		}

@@ -238,13 +238,13 @@ func (s *Solver) kickOnce(stop func() bool) bool {
 		improved := s.opt.Length() < s.bestLen
 		s.bestLen = s.opt.Length()
 		s.best.CopyFrom(s.opt.Tour)
-		s.Rec.KickAccepted(s.bestLen)
+		s.Rec.Record(obs.KindKickAccepted, s.bestLen, -1)
 		return improved
 	}
 	// Revert the working tour to the incumbent.
 	s.opt.Tour.CopyFrom(s.best)
 	s.opt.SetLength(s.bestLen)
-	s.Rec.KickReverted()
+	s.Rec.Record(obs.KindKickReverted, 0, -1)
 	return false
 }
 
@@ -274,7 +274,7 @@ func (s *Solver) chain(ctx context.Context, stop func() bool, b Budget) (kicks, 
 	for ; !b.expired(ctx, kicks, s.bestLen); kicks++ {
 		if s.kickOnce(stop) {
 			improves++
-			s.Rec.LKImprove(s.bestLen)
+			s.Rec.Record(obs.KindLKImprove, s.bestLen, -1)
 		}
 	}
 	return kicks, improves
@@ -283,7 +283,8 @@ func (s *Solver) chain(ctx context.Context, stop func() bool, b Budget) (kicks, 
 // Perturb applies `count` double-bridge moves to the incumbent *without*
 // re-optimizing or acceptance, placing the perturbed tour in the working
 // state with kick endpoints queued. The distributed EA uses this as its
-// variable-strength VARIATETOUR step; the caller then runs Run/Optimize.
+// variable-strength VARIATETOUR step; the caller then runs a
+// Group.RunPerturbed round.
 func (s *Solver) Perturb(count int) {
 	s.opt.Tour.CopyFrom(s.best)
 	length := s.bestLen
@@ -295,22 +296,7 @@ func (s *Solver) Perturb(count int) {
 		s.opt.QueueCities(touched[:])
 	}
 	s.opt.SetLength(length)
-	s.Rec.Perturb(count)
-}
-
-// RunPerturbed re-optimizes the (already perturbed) working tour with LK,
-// then chains kicks under the budget. Unlike Run, the first acceptance
-// comparison is against the perturbed tour's optimum, so a worse-than-
-// incumbent result can still be adopted — the EA decides what to keep.
-// It returns the best tour reached from the perturbed start.
-func (s *Solver) RunPerturbed(ctx context.Context, b Budget) Result {
-	//lint:ignore nodeterminism Elapsed is reporting-only; it never feeds back into the seeded search
-	start := time.Now()
-	s.adoptPerturbed(cancelPoll(ctx))
-	res := s.Run(ctx, b)
-	//lint:ignore nodeterminism Elapsed is reporting-only; it never feeds back into the seeded search
-	res.Elapsed = time.Since(start)
-	return res
+	s.Rec.Record(obs.KindPerturb, int64(count), -1)
 }
 
 // adoptPerturbed re-optimizes the perturbed working tour and adopts it as

@@ -250,12 +250,18 @@ func TestCLKCancellation(t *testing.T) {
 	}
 }
 
+// TestPerturbAndRunPerturbed drives the distributed EA's variation step on
+// a one-worker group: Perturb worker 0, then one RunPerturbed round.
 func TestPerturbAndRunPerturbed(t *testing.T) {
 	in := tsp.Generate(tsp.FamilyUniform, 200, 41)
-	s := New(in, DefaultParams(), 5)
+	g := NewGroup(context.Background(), in, DefaultParams(), GroupParams{Workers: 1}, 5)
+	s := g.Worker(0)
 	base := s.BestLength()
 	s.Perturb(3)
-	res := s.RunPerturbed(context.Background(), Budget{MaxKicks: 10})
+	res := g.RunPerturbed(context.Background(), Budget{MaxKicks: 10})
+	if res.Kicks != 10 {
+		t.Fatalf("round made %d kicks, want 10", res.Kicks)
+	}
 	if err := res.Tour.Validate(200); err != nil {
 		t.Fatal(err)
 	}

@@ -116,16 +116,7 @@ type Group struct {
 // called). Candidate lists are built once and shared; pass p.Neighbors to
 // share them wider still (e.g. across benchmark configs).
 func NewGroup(ctx context.Context, inst *tsp.Instance, p Params, gp GroupParams, seed int64) *Group {
-	return newGroup(inst, p, gp, seed, cancelPoll(ctx))
-}
-
-// BuildGroup is NewGroup without cancellation, for constructors that take
-// no context (core.NewNode), as New is for a single Solver.
-func BuildGroup(inst *tsp.Instance, p Params, gp GroupParams, seed int64) *Group {
-	return newGroup(inst, p, gp, seed, nil)
-}
-
-func newGroup(inst *tsp.Instance, p Params, gp GroupParams, seed int64, stop func() bool) *Group {
+	stop := cancelPoll(ctx)
 	p = p.normalize()
 	p.Neighbors = resolveNeighbors(inst, p)
 	if gp.Workers <= 0 {
@@ -173,9 +164,6 @@ func (g *Group) SetRecorder(i int, rec *obs.Recorder) {
 
 // Merges returns how many elite merge passes completed.
 func (g *Group) Merges() int64 { return g.merges }
-
-// Kicks returns the group-total kick count.
-func (g *Group) Kicks() int64 { return g.kicks }
 
 // BestLength returns the best worker incumbent's length.
 func (g *Group) BestLength() int64 { return g.workers[g.best()].bestLen }
@@ -229,12 +217,13 @@ func (g *Group) Run(ctx context.Context, b Budget) Result {
 }
 
 // RunPerturbed runs one round for the distributed EA: worker 0
-// re-optimizes its perturbed working tour and chains from it, as
-// Solver.RunPerturbed does, while every other worker chains from its own
-// incumbent; each makes b.MaxKicks (> 0) kicks. It returns the winner's
-// tour with the round's summed kicks and improvements, and leaves Elapsed
-// unset: the EA keeps its own clock. Re-rooting workers between rounds is
-// the caller's. With one worker this is Solver.RunPerturbed.
+// re-optimizes its perturbed working tour (see Solver.Perturb) and adopts
+// it as its chain incumbent even if it is worse than the previous one —
+// the EA's SELECTBESTTOUR owns acceptance — then chains from it, while
+// every other worker chains from its own incumbent; each makes
+// b.MaxKicks (> 0) kicks. It returns the winner's tour with the round's
+// summed kicks and improvements, and leaves Elapsed unset: the EA keeps
+// its own clock. Re-rooting workers between rounds is the caller's.
 func (g *Group) RunPerturbed(ctx context.Context, b Budget) Result {
 	kicks, improves := g.kicks, g.improves
 	for i := range g.tallies {
@@ -336,7 +325,7 @@ func (g *Group) barrier(ctx context.Context, w int, merge bool) {
 			tour, _ = g.workers[w].Best()
 		}
 		s.SetTour(tour)
-		s.Rec.Adopted(length, from)
+		s.Rec.Record(obs.KindAdopt, length, from)
 	}
 }
 
@@ -362,6 +351,6 @@ func (g *Group) mergeOnce(ctx context.Context, w int) (tsp.Tour, int64, bool) {
 	opt := lk.NewOptimizer(g.inst, cand, start, lk.Params{MaxDepth: 60, Breadth: []int{10, 6, 4, 2}})
 	opt.OptimizeAll(cancelPoll(ctx))
 	g.merges++
-	g.workers[0].Rec.Merged(opt.Length())
+	g.workers[0].Rec.Record(obs.KindMerge, opt.Length(), -1)
 	return opt.Tour.Tour(), opt.Length(), true
 }

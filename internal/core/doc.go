@@ -6,7 +6,8 @@
 // prolonged stagnation. The package is transport-agnostic: networking is
 // behind the Comm interface, implemented by internal/dist (channels, TCP)
 // and internal/simnet (virtual-clock simulation). Search telemetry flows
-// through an optional obs.Recorder.
+// through its obs.Recorder, the one record of the node's counts (a plain,
+// non-emitting one when the node is unobserved).
 //
 // Invariants:
 //   - A node's decisions are a pure function of (instance, Config, seed,

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"time"
 
 	"distclk/internal/clk"
 	"distclk/internal/construct"
@@ -90,19 +89,6 @@ func (NopComm) AnnounceOptimum(int64) {}
 // Stopped reports false.
 func (NopComm) Stopped() bool { return false }
 
-// Stats summarizes a node's run.
-type Stats struct {
-	NodeID     int
-	BestLength int64
-	Iterations int64
-	Kicks      int64 // double-bridge kicks attempted by the embedded CLK
-	Broadcasts int64 // tours broadcast to neighbours
-	Received   int64 // tours drained from the inbox
-	Accepted   int64 // received tours adopted as node best
-	Restarts   int64
-	Elapsed    time.Duration
-}
-
 // Node is one EA participant: a CLK solver plus the Figure 1 control loop.
 type Node struct {
 	ID     int
@@ -111,7 +97,7 @@ type Node struct {
 	group  *clk.Group  // the in-node workers
 	solver *clk.Solver // worker 0: the node's perturbed chain
 	comm   Comm
-	rec    *obs.Recorder
+	rec    *obs.Recorder // never nil: the node's one record of its counts
 
 	sBest    tsp.Tour
 	sBestLen int64
@@ -122,9 +108,6 @@ type Node struct {
 	budget   Budget
 	sPrevLen int64
 	began    bool
-
-	stats Stats
-	start time.Time
 }
 
 // NewNode builds a node over a fresh CLK group of max(1, cfg.Workers)
@@ -140,7 +123,8 @@ func NewNode(id int, inst *tsp.Instance, cfg Config, comm Comm, seed int64) *Nod
 	if cfg.KicksPerCall <= 0 {
 		cfg.KicksPerCall = clk.KicksPerRound(inst.N())
 	}
-	g := clk.BuildGroup(inst, cfg.CLK, clk.GroupParams{
+	//lint:ignore ctxhygiene NewNode's kept signature supplies no context, so construction (one LK pass per worker) runs to completion; a never-cancelled context makes NewGroup's abort hook nil
+	g := clk.NewGroup(context.TODO(), inst, cfg.CLK, clk.GroupParams{
 		Workers:    max(1, cfg.Workers),
 		MergeEvery: -1,
 	}, seed)
@@ -152,7 +136,7 @@ func NewNode(id int, inst *tsp.Instance, cfg Config, comm Comm, seed int64) *Nod
 		solver: g.Worker(0),
 		comm:   comm,
 	}
-	n.stats.NodeID = id
+	n.SetRecorder(nil)
 	return n
 }
 
@@ -162,19 +146,21 @@ func NewNode(id int, inst *tsp.Instance, cfg Config, comm Comm, seed int64) *Nod
 // in virtual seconds stay comparable across worker counts.
 func (n *Node) CostFactor() int { return n.group.Workers() }
 
-// SetRecorder attaches the node's observability recorder (nil is fine) and
-// threads it into every in-node worker. Call before Run.
+// SetRecorder attaches the node's observability recorder and threads it
+// into every in-node worker. The recorder keeps the node's counts; nil
+// attaches a plain one that counts without emitting, as NewNode does.
+// Call before Run.
 func (n *Node) SetRecorder(rec *obs.Recorder) {
+	if rec == nil {
+		rec = obs.NewRecorder(n.ID, nil)
+	}
 	n.rec = rec
 	// Workers share the node's recorder: counters and the best length are
-	// atomic and sinks serialize, so concurrent kick events are safe.
+	// locked and sinks serialize, so concurrent kick events are safe.
 	for i := 0; i < n.group.Workers(); i++ {
 		n.group.Worker(i).Rec = rec
 	}
 }
-
-// Recorder returns the attached recorder (possibly nil).
-func (n *Node) Recorder() *obs.Recorder { return n.rec }
 
 // Solver exposes the underlying CLK engine (read-mostly; used by tests and
 // the harness).
@@ -212,10 +198,10 @@ func (b Budget) done(ctx context.Context, iter int64, best int64, comm Comm) boo
 }
 
 // Run executes the Figure 1 loop until the budget expires or ctx is done,
-// and returns the node's statistics. It must be called at most once per
+// and returns the node's counters. It must be called at most once per
 // Node. Callers that need one-iteration granularity (the simnet
 // discrete-event driver) use Begin/Step/Finish directly instead.
-func (n *Node) Run(ctx context.Context, b Budget) Stats {
+func (n *Node) Run(ctx context.Context, b Budget) obs.CounterSnapshot {
 	n.Begin(ctx, b)
 	for n.Step(ctx) {
 	}
@@ -232,15 +218,13 @@ func (n *Node) Begin(ctx context.Context, b Budget) {
 	}
 	n.began = true
 	n.budget = b
-	//lint:ignore nodeterminism Stats.Elapsed is reporting-only; simnet replays run on the virtual clock and never read it
-	n.start = time.Now()
 
 	// s_prev := INITIALTOUR; s_best := CHAINEDLINKERNIGHAN(s_prev).
 	// NewNode already constructed + LK-optimized the initial tour; the
 	// initial chained run completes the first line of the pseudocode.
 	n.runCLK(ctx, b)
 	n.sBest, n.sBestLen = n.solver.Best()
-	n.rec.Improve(n.sBestLen)
+	n.rec.Record(obs.KindImprove, n.sBestLen, -1)
 	n.broadcast(n.sBest, n.sBestLen)
 	n.perturbLevel = 1
 	n.sPrevLen = n.sBestLen
@@ -252,10 +236,11 @@ func (n *Node) Begin(ctx context.Context, b Budget) {
 // ctx was cancelled, or the network announced shutdown.
 func (n *Node) Step(ctx context.Context) bool {
 	b := n.budget
-	if b.done(ctx, n.stats.Iterations, n.sBestLen, n.comm) {
+	iter := n.rec.Snapshot().Iterations
+	if b.done(ctx, iter, n.sBestLen, n.comm) {
 		return false
 	}
-	n.stats.Iterations++
+	n.rec.Record(obs.KindIteration, iter+1, -1)
 
 	// s := CHAINEDLINKERNIGHAN(PERTURBATE(s_best))
 	n.perturbate()
@@ -264,9 +249,8 @@ func (n *Node) Step(ctx context.Context) bool {
 
 	// S_received := ALLRECEIVEDTOURS
 	received := n.comm.Drain()
-	n.stats.Received += int64(len(received))
 	for _, in := range received {
-		n.rec.BroadcastReceived(in.Length, in.From)
+		n.rec.Record(obs.KindBroadcastReceived, in.Length, in.From)
 	}
 
 	// s_best := SELECTBESTTOUR(S_received ∪ {s} ∪ {s_prev})
@@ -300,13 +284,10 @@ func (n *Node) Step(ctx context.Context) bool {
 		n.noImprove = 0
 		n.setPerturbLevel(1)
 		if fromLocal {
-			n.rec.Improve(bestLen)
+			n.rec.Record(obs.KindImprove, bestLen, -1)
 			n.broadcast(bestTour, bestLen)
 		} else {
-			if bestFrom >= 0 {
-				n.stats.Accepted++
-			}
-			n.rec.ImproveReceived(bestLen, bestFrom)
+			n.rec.Record(obs.KindImproveReceived, bestLen, bestFrom)
 		}
 	} else {
 		// Perturbation made things worse and nothing received beats
@@ -323,21 +304,14 @@ func (n *Node) Step(ctx context.Context) bool {
 }
 
 // Finish announces the optimum when the target was reached and returns the
-// node's final statistics. Call once, after the last Step. On a node whose
-// Begin never ran (aborted before its first event) it is a no-op.
-func (n *Node) Finish() Stats {
-	if !n.began {
-		return n.stats
-	}
-	if n.budget.Target > 0 && n.sBestLen <= n.budget.Target {
-		n.rec.Optimum(n.sBestLen)
+// node's counters. Call once, after the last Step. On a node whose Begin
+// never ran (aborted before its first event) it only reads the counters.
+func (n *Node) Finish() obs.CounterSnapshot {
+	if n.began && n.budget.Target > 0 && n.sBestLen <= n.budget.Target {
+		n.rec.Record(obs.KindOptimum, n.sBestLen, -1)
 		n.comm.AnnounceOptimum(n.sBestLen)
 	}
-	n.stats.BestLength = n.sBestLen
-	n.stats.Kicks = n.group.Kicks()
-	//lint:ignore nodeterminism Stats.Elapsed is reporting-only; simnet replays run on the virtual clock and never read it
-	n.stats.Elapsed = time.Since(n.start)
-	return n.stats
+	return n.rec.Snapshot()
 }
 
 // CrashRecover simulates a process restart with lost volatile state: the
@@ -348,8 +322,7 @@ func (n *Node) Finish() Stats {
 func (n *Node) CrashRecover() {
 	n.noImprove = 0
 	n.setPerturbLevel(1)
-	n.stats.Restarts++
-	n.rec.Restart()
+	n.rec.Record(obs.KindRestart, 0, -1)
 	n.solver.Reconstruct(restartConstruct)
 	n.sBest, n.sBestLen = n.solver.Best()
 	n.sPrevLen = n.sBestLen
@@ -368,14 +341,13 @@ func (n *Node) honest(in Incoming) bool {
 	if in.Tour.Validate(n.inst.N()) == nil && in.Tour.Length(n.inst) == in.Length {
 		return true
 	}
-	n.rec.LengthMismatch(in.Length, in.From)
+	n.rec.Record(obs.KindLengthMismatch, in.Length, in.From)
 	return false
 }
 
 func (n *Node) broadcast(t tsp.Tour, length int64) {
 	n.comm.Broadcast(t, length)
-	n.stats.Broadcasts++
-	n.rec.BroadcastSent(length)
+	n.rec.Record(obs.KindBroadcastSent, length, -1)
 }
 
 // perturbate implements PERTURBATE(s): either restart from a fresh tour
@@ -384,8 +356,7 @@ func (n *Node) perturbate() {
 	if n.noImprove > n.cfg.CR {
 		n.noImprove = 0
 		n.setPerturbLevel(1)
-		n.stats.Restarts++
-		n.rec.Restart()
+		n.rec.Record(obs.KindRestart, 0, -1)
 		n.solver.Reconstruct(restartConstruct)
 		return
 	}
@@ -401,7 +372,7 @@ func (n *Node) perturbate() {
 func (n *Node) setPerturbLevel(level int) {
 	if level != n.perturbLevel {
 		n.perturbLevel = level
-		n.rec.PerturbLevel(level)
+		n.rec.Record(obs.KindPerturbLevel, int64(level), -1)
 	}
 }
 

@@ -406,6 +406,32 @@ func TestNodeWorkersParallel(t *testing.T) {
 	}
 }
 
+// TestUnobservedNodeCounts: a node with no recorder attached counts
+// through the plain recorder NewNode gives it, so it reports exactly what
+// an identically seeded observed node does, iterations included.
+func TestUnobservedNodeCounts(t *testing.T) {
+	in := smallInstance(120, 23)
+	cfg := DefaultConfig()
+	cfg.CV, cfg.CR = 1, 2 // stagnation restarts within the budget
+	cfg.KicksPerCall = 5
+	cfg.Workers = 2
+	b := Budget{MaxIterations: 12}
+
+	plain := NewNode(3, in, cfg, NopComm{}, 31)
+	got := plain.Run(testCtx(t, 20*time.Second), b)
+
+	observed := NewNode(3, in, cfg, NopComm{}, 31)
+	observed.SetRecorder(obs.NewObserver(4, nil).Recorder(3))
+	want := observed.Run(testCtx(t, 20*time.Second), b)
+
+	if got != want {
+		t.Fatalf("unobserved counters %+v, observed %+v", got, want)
+	}
+	if got.Node != 3 || got.Iterations != 12 || got.Restarts == 0 || got.Kicks == 0 {
+		t.Fatalf("counters %+v: want node 3, 12 iterations, restarts and kicks", got)
+	}
+}
+
 func TestNodeWorkersDefaultCostFactor(t *testing.T) {
 	in := smallInstance(50, 22)
 	node := NewNode(0, in, DefaultConfig(), NopComm{}, 1)

@@ -46,8 +46,9 @@ func TestStatsAccounting(t *testing.T) {
 	if stats.Iterations != 8 {
 		t.Fatalf("iterations %d", stats.Iterations)
 	}
-	if stats.Elapsed <= 0 {
-		t.Fatal("elapsed not recorded")
+	// Begin plus 8 iterations, each one KicksPerCall-kick round.
+	if stats.Kicks != 9*4 {
+		t.Fatalf("kicks %d, want %d", stats.Kicks, 9*4)
 	}
 	// Broadcast lengths must be non-increasing (only new bests are sent).
 	for i := 1; i < len(comm.sent); i++ {

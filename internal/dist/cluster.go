@@ -37,18 +37,21 @@ type ClusterConfig struct {
 	Obs *obs.Observer
 }
 
-// ClusterResult aggregates a distributed run.
+// ClusterResult aggregates a distributed run: the best tour collected
+// from the nodes' local outputs, and each node's counters.
 type ClusterResult struct {
 	BestTour   tsp.Tour
 	BestLength int64
-	Stats      []core.Stats
+	// Stats is each node's counter snapshot at run end, read from its
+	// recorder (the one place a node keeps its counts).
+	Stats []obs.CounterSnapshot
 	// Events is the merged EA-level event stream of all nodes, ordered by
 	// run-clock offset. The paper's §4 message analysis and §4.2.1 variator
 	// timeline are computed from it.
 	Events []obs.Event
-	// Counters is the per-node counter snapshot at run end.
-	Counters []obs.CounterSnapshot
-	Elapsed  time.Duration
+	// Elapsed is the run's wall time (unset for simnet replays, which run
+	// on a virtual clock).
+	Elapsed time.Duration
 	// Nodes echoes the configured node count.
 	Nodes int
 }
@@ -60,6 +63,34 @@ func (r ClusterResult) Broadcasts() int64 {
 		total += s.Broadcasts
 	}
 	return total
+}
+
+// Iterations sums EA iterations across nodes.
+func (r ClusterResult) Iterations() int64 {
+	var total int64
+	for _, s := range r.Stats {
+		total += s.Iterations
+	}
+	return total
+}
+
+// Collect fills in the run's outcome once every node has stopped: the
+// observer's events, the counters of its first len(nodes) recorders (an
+// observer may hold more), and the best tour of the nodes' local outputs
+// (paper §2.3), ties to the lowest node index.
+func Collect(observer *obs.Observer, nodes []*core.Node) ClusterResult {
+	res := ClusterResult{
+		Stats:  observer.Counters()[:len(nodes)],
+		Events: observer.Events(),
+		Nodes:  len(nodes),
+	}
+	for _, n := range nodes {
+		tour, l := n.Best()
+		if res.BestTour == nil || l < res.BestLength {
+			res.BestTour, res.BestLength = tour, l
+		}
+	}
+	return res
 }
 
 // NewNode builds node id of a cluster run seeded with seed, with rec
@@ -107,31 +138,18 @@ func RunCluster(ctx context.Context, inst *tsp.Instance, cfg ClusterConfig) Clus
 	nw := NewChanNetwork(cfg.Nodes, cfg.Topo, cfg.Exchange, cfg.Seed, observer)
 
 	nodes := make([]*core.Node, cfg.Nodes)
-	stats := make([]core.Stats, cfg.Nodes)
-
 	var wg sync.WaitGroup
 	for i := 0; i < cfg.Nodes; i++ {
 		nodes[i] = NewNode(i, inst, cfg.EA, nw.Comm(i), cfg.Seed, observer.Recorder(i))
 		wg.Add(1)
 		go func(idx int) {
 			defer wg.Done()
-			stats[idx] = nodes[idx].Run(ctx, cfg.Budget)
+			nodes[idx].Run(ctx, cfg.Budget)
 		}(i)
 	}
 	wg.Wait()
 
-	res := ClusterResult{
-		Stats:    stats,
-		Events:   observer.Events(),
-		Counters: observer.Counters(),
-		Elapsed:  time.Since(start),
-		Nodes:    cfg.Nodes,
-	}
-	for _, n := range nodes {
-		tour, l := n.Best()
-		if res.BestTour == nil || l < res.BestLength {
-			res.BestTour, res.BestLength = tour, l
-		}
-	}
+	res := Collect(observer, nodes)
+	res.Elapsed = time.Since(start)
 	return res
 }

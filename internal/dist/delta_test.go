@@ -365,7 +365,7 @@ func TestRunClusterDeltaGossip(t *testing.T) {
 		t.Fatalf("best tour invalid: %v", err)
 	}
 	var full, delta int64
-	for _, c := range res.Counters {
+	for _, c := range res.Stats {
 		full += c.FullSends
 		delta += c.DeltaSends
 	}

@@ -246,7 +246,7 @@ func TestRunClusterCooperationSpreadsTours(t *testing.T) {
 	for _, s := range res.Stats {
 		if float64(s.BestLength) > float64(res.BestLength)*1.2 {
 			t.Errorf("node %d ended at %d, global best %d — no cooperation?",
-				s.NodeID, s.BestLength, res.BestLength)
+				s.Node, s.BestLength, res.BestLength)
 		}
 	}
 }
@@ -368,13 +368,13 @@ func TestTCPNodesRunDistributedEA(t *testing.T) {
 	go hub.Serve(context.Background())
 	defer hub.Close()
 
-	results := make(chan core.Stats, nodes)
+	results := make(chan obs.CounterSnapshot, nodes)
 	for i := 0; i < nodes; i++ {
 		go func(idx int) {
 			tn, err := JoinTCP(context.Background(), hub.Addr(), "127.0.0.1:0", in.N())
 			if err != nil {
 				t.Errorf("join: %v", err)
-				results <- core.Stats{}
+				results <- obs.CounterSnapshot{}
 				return
 			}
 			defer tn.Close()

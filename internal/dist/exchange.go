@@ -113,9 +113,9 @@ func (x *Exchange) Encode(to int, t tsp.Tour, length int64) WireTour {
 	w := enc.Encode(x.id, t, length, x.cfg.Keyframe())
 	x.mu.Unlock()
 	if w.Full {
-		x.rec.FullSent(int64(w.WireBytes()), to)
+		x.rec.Record(obs.KindFullSent, int64(w.WireBytes()), to)
 	} else {
-		x.rec.DeltaSent(int64(w.WireBytes()), to)
+		x.rec.Record(obs.KindDeltaSent, int64(w.WireBytes()), to)
 	}
 	return w
 }
@@ -137,7 +137,7 @@ func (x *Exchange) Receive(w WireTour) (Delivery, tsp.Tour) {
 		}
 		var ok bool
 		if tour, ok = dec.Decode(w); !ok {
-			x.rec.DeltaGap(w.From)
+			x.rec.Record(obs.KindDeltaGap, 0, w.From)
 			return Gap, nil
 		}
 	}
@@ -150,12 +150,12 @@ func (x *Exchange) Receive(w WireTour) (Delivery, tsp.Tour) {
 			if msg.Length < x.inbox[i].Length {
 				x.inbox[i] = msg
 			}
-			x.rec.CoalescedMsg(x.inbox[i].Length, msg.From)
+			x.rec.Record(obs.KindCoalesced, x.inbox[i].Length, msg.From)
 			return Coalesced, tour
 		}
 	}
 	if len(x.inbox) >= x.capacity {
-		x.rec.MsgDropped(msg.Length, msg.From)
+		x.rec.Record(obs.KindMsgDropped, msg.Length, msg.From)
 		return Overflow, tour
 	}
 	x.inbox = append(x.inbox, msg)

@@ -21,7 +21,10 @@ import (
 //     header's first column is `kind`) in the package's doc set — the
 //     package directory's own README.md/DESIGN.md if present, else the
 //     module root's;
-//   - every backticked name in those tables is a live kind (stale rows).
+//   - every backticked name in those tables is a live kind (stale rows);
+//   - where a table has a `level` column, each row reads `kick` for the
+//     kinds the Kind.EALevel method excludes from collection and `EA` for
+//     the rest.
 //
 // The counters need no check of their own: obs.CounterSnapshot is their
 // one declaration, and a golden test pins its JSON.
@@ -53,8 +56,56 @@ func runEventSync(pass *Pass) {
 		}
 	}
 	if names != nil {
-		checkEventDocs(pass, pkg, names, namesPos)
+		checkEventDocs(pass, pkg, names, namesPos, kickLevelNames(pkg, kinds, names))
 	}
+}
+
+// kickLevelNames returns the names of the kinds the Kind.EALevel method
+// excludes — the constants of its switch cases that return false — or nil
+// when the package has no such method.
+func kickLevelNames(pkg *Package, kinds, names []string) map[string]bool {
+	index := make(map[string]int, len(kinds))
+	for i, k := range kinds {
+		index[k] = i
+	}
+	for _, f := range pkg.Files {
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Recv == nil || fd.Name.Name != "EALevel" || fd.Body == nil {
+				continue
+			}
+			kick := map[string]bool{}
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				cc, ok := n.(*ast.CaseClause)
+				if !ok || !returnsFalse(cc.Body) {
+					return true
+				}
+				for _, e := range cc.List {
+					if id, ok := e.(*ast.Ident); ok {
+						if i, ok := index[id.Name]; ok && i < len(names) {
+							kick[names[i]] = true
+						}
+					}
+				}
+				return true
+			})
+			return kick
+		}
+	}
+	return nil
+}
+
+// returnsFalse reports whether a case body ends in `return false`.
+func returnsFalse(body []ast.Stmt) bool {
+	if len(body) == 0 {
+		return false
+	}
+	ret, ok := body[len(body)-1].(*ast.ReturnStmt)
+	if !ok || len(ret.Results) != 1 {
+		return false
+	}
+	id, ok := ret.Results[0].(*ast.Ident)
+	return ok && id.Name == "false"
 }
 
 // kindConstants returns the ordered Kind* constant names of the package's
@@ -125,8 +176,9 @@ func kindNameEntries(pkg *Package) ([]string, token.Pos) {
 }
 
 // checkEventDocs diffs the kind vocabulary against every markdown event
-// table in the package's doc set.
-func checkEventDocs(pass *Pass, pkg *Package, names []string, at token.Pos) {
+// table in the package's doc set; kick, when non-nil, names the kick-level
+// kinds a level column must mark.
+func checkEventDocs(pass *Pass, pkg *Package, names []string, at token.Pos, kick map[string]bool) {
 	docs := eventDocFiles(pkg.Dir)
 	if len(docs) == 0 {
 		pass.Reportf(at, "no README.md/DESIGN.md found for the event-kind vocabulary; document the kinds in an event table")
@@ -153,6 +205,10 @@ func checkEventDocs(pass *Pass, pkg *Package, names []string, at token.Pos) {
 				documented[name] = true
 				if !live[name] {
 					pass.Reportf(at, "stale event-table row in %s:%d: %q is not a kind the package emits", filepath.Base(doc), row.line, name)
+					continue
+				}
+				if want := levelOf(kick, name); kick != nil && row.level != "" && row.level != want {
+					pass.Reportf(at, "event-table row in %s:%d gives %q level %q; Kind.EALevel makes it %q", filepath.Base(doc), row.line, name, row.level, want)
 				}
 			}
 		}
@@ -207,14 +263,24 @@ func baseNames(paths []string) []string {
 	return out
 }
 
+// levelOf is the level-column entry for a kind: "kick" for the kinds
+// EALevel excludes from collection, "EA" for the rest.
+func levelOf(kick map[string]bool, name string) string {
+	if kick[name] {
+		return "kick"
+	}
+	return "EA"
+}
+
 type eventRow struct {
 	line  int
 	kinds []string // backticked names in the row's first cell
+	level string   // the row's level cell, "" when the table has none
 }
 
 // parseEventTable extracts the rows of the first markdown table whose
-// header's first cell is `kind`. It returns nil rows when the file has no
-// such table.
+// header's first cell is `kind`, with their `level` cell when the header
+// has a level column. It returns nil rows when the file has no such table.
 func parseEventTable(path string) ([]eventRow, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -223,6 +289,7 @@ func parseEventTable(path string) ([]eventRow, error) {
 	lines := strings.Split(string(data), "\n")
 	var rows []eventRow
 	inTable := false
+	levelCol := -1
 	for i, line := range lines {
 		trimmed := strings.TrimSpace(line)
 		if !strings.HasPrefix(trimmed, "|") {
@@ -240,6 +307,11 @@ func parseEventTable(path string) ([]eventRow, error) {
 			if first == "kind" {
 				inTable = true
 				rows = []eventRow{}
+				for j, c := range cells {
+					if strings.TrimSpace(c) == "level" {
+						levelCol = j
+					}
+				}
 			}
 			continue
 		}
@@ -247,6 +319,9 @@ func parseEventTable(path string) ([]eventRow, error) {
 			continue // separator row
 		}
 		row := eventRow{line: i + 1, kinds: backticked(first)}
+		if levelCol > 0 && levelCol < len(cells) {
+			row.level = strings.TrimSpace(cells[levelCol])
+		}
 		if len(row.kinds) > 0 {
 			rows = append(rows, row)
 		}

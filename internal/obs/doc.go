@@ -12,9 +12,10 @@
 //     path never allocates for a disabled sink.
 //   - CounterSnapshot is the one declaration of the counter vocabulary: a
 //     recorder's live counters are one CounterSnapshot guarded by one
-//     mutex, bumped under the lock and emitted after it is released, and
-//     Snapshot is a locked copy readable concurrently (live metrics
-//     endpoints, progress pumps).
+//     mutex. Recorder.Record is the one path in: it bumps them under the
+//     lock by the kind's rule (CounterSnapshot.count) and emits after the
+//     lock is released. Snapshot is a locked copy readable concurrently
+//     (live metrics endpoints, progress pumps).
 //   - Event sinks serialize internally, so recorders of concurrent nodes
 //     can share one sink; a recorder's At clock is injectable (virtual
 //     time in simnet, wall time elsewhere).

@@ -97,6 +97,9 @@ const (
 	// from the sender's claim (or it is not a permutation). Node =
 	// receiver, From = sender, Value = claimed length.
 	KindLengthMismatch
+	// KindIteration: a node began one EA iteration (one Figure 1 loop
+	// pass). Value = the iteration's ordinal, from 1.
+	KindIteration
 
 	numKinds
 )
@@ -128,6 +131,61 @@ var kindNames = [numKinds]string{
 	"delta-gap",
 	"coalesced",
 	"length-mismatch",
+	"iteration",
+}
+
+// count applies one event of kind k with the given value to the counters:
+// the one rule for which counter each kind bumps and which kinds publish
+// a best length. Kinds it does not name are evented only.
+func (c *CounterSnapshot) count(k Kind, value int64) {
+	switch k {
+	case KindKickAccepted:
+		c.Kicks++
+		c.KickAccepts++
+	case KindKickReverted:
+		c.Kicks++
+	case KindLKImprove:
+		c.Improvements++
+		c.lowerBest(value)
+	case KindImprove, KindOptimum:
+		c.lowerBest(value)
+	case KindImproveReceived:
+		c.Accepted++
+		c.lowerBest(value)
+	case KindPerturb:
+		c.Perturbations += value
+	case KindRestart:
+		c.Restarts++
+	case KindBroadcastSent:
+		c.Broadcasts++
+	case KindBroadcastReceived:
+		c.Received++
+	case KindMsgDropped:
+		c.MsgDrops++
+	case KindMerge:
+		c.Merges++
+	case KindAdopt:
+		c.Adoptions++
+	case KindFullSent:
+		c.FullSends++
+		c.WireBytes += value
+	case KindDeltaSent:
+		c.DeltaSends++
+		c.WireBytes += value
+	case KindDeltaGap:
+		c.DeltaGaps++
+	case KindCoalesced:
+		c.Coalesced++
+	case KindIteration:
+		c.Iterations++
+	}
+}
+
+// lowerBest lowers the published best length (0 = none yet).
+func (c *CounterSnapshot) lowerBest(length int64) {
+	if c.BestLength == 0 || length < c.BestLength {
+		c.BestLength = length
+	}
 }
 
 // String names the kind; these names are the event-stream vocabulary.
@@ -139,13 +197,13 @@ func (k Kind) String() string {
 }
 
 // EALevel reports whether the kind is a low-frequency EA decision point.
-// Kick-level kinds fire once per kick (potentially millions per run) and
-// are excluded from unbounded in-memory collection; their totals live in
-// the recorder's counters.
+// Kick-level kinds fire once per kick or EA iteration (potentially
+// millions per run) and are excluded from unbounded in-memory collection;
+// their totals live in the recorder's counters.
 func (k Kind) EALevel() bool {
 	switch k {
 	case KindKickAccepted, KindKickReverted, KindLKImprove, KindPerturb,
-		KindFullSent, KindDeltaSent, KindCoalesced:
+		KindIteration, KindFullSent, KindDeltaSent, KindCoalesced:
 		// The send/coalesce kinds fire once per peer per broadcast — at
 		// 1024 nodes that is far too chatty for unbounded collection;
 		// their totals live in the recorder's counters.

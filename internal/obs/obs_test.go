@@ -24,7 +24,7 @@ func TestKindNamesAndLevels(t *testing.T) {
 	if Kind(200).String() != "unknown" {
 		t.Fatal("out-of-range kind must stringify as unknown")
 	}
-	for _, k := range []Kind{KindKickAccepted, KindKickReverted, KindLKImprove, KindPerturb} {
+	for _, k := range []Kind{KindKickAccepted, KindKickReverted, KindLKImprove, KindPerturb, KindIteration} {
 		if k.EALevel() {
 			t.Fatalf("%v must be kick-level", k)
 		}
@@ -92,22 +92,23 @@ func TestRecorderCountersAndBest(t *testing.T) {
 	sink := NewMemorySink()
 	r := NewRecorder(2, sink)
 	r.SetBest(100)
-	r.KickAccepted(95)
-	r.KickReverted()
-	r.LKImprove(90)
-	r.Perturb(3)
-	r.PerturbLevel(2)
-	r.Restart()
-	r.BroadcastSent(90)
-	r.BroadcastReceived(88, 1)
-	r.ImproveReceived(88, 1)
-	r.Improve(85)
-	r.Optimum(85)
+	r.Record(KindIteration, 1, -1)
+	r.Record(KindKickAccepted, 95, -1)
+	r.Record(KindKickReverted, 0, -1)
+	r.Record(KindLKImprove, 90, -1)
+	r.Record(KindPerturb, 3, -1)
+	r.Record(KindPerturbLevel, 2, -1)
+	r.Record(KindRestart, 0, -1)
+	r.Record(KindBroadcastSent, 90, -1)
+	r.Record(KindBroadcastReceived, 88, 1)
+	r.Record(KindImproveReceived, 88, 1)
+	r.Record(KindImprove, 85, -1)
+	r.Record(KindOptimum, 85, -1)
 
 	s := r.Snapshot()
-	if s.Node != 2 || s.Kicks != 2 || s.KickAccepts != 1 || s.Improvements != 1 ||
-		s.Perturbations != 3 || s.Restarts != 1 || s.BroadcastsSent != 1 ||
-		s.BroadcastsReceived != 1 || s.BroadcastsAccepted != 1 {
+	if s.Node != 2 || s.Iterations != 1 || s.Kicks != 2 || s.KickAccepts != 1 ||
+		s.Improvements != 1 || s.Perturbations != 3 || s.Restarts != 1 ||
+		s.Broadcasts != 1 || s.Received != 1 || s.Accepted != 1 {
 		t.Fatalf("snapshot = %+v", s)
 	}
 	if s.BestLength != 85 {
@@ -118,8 +119,8 @@ func TestRecorderCountersAndBest(t *testing.T) {
 		t.Fatalf("best raised to %d", r.Best())
 	}
 	events := sink.Events()
-	if len(events) != 11 {
-		t.Fatalf("emitted %d events, want 11", len(events))
+	if len(events) != 12 {
+		t.Fatalf("emitted %d events, want 12", len(events))
 	}
 	for _, e := range events {
 		if e.Node != 2 {
@@ -130,17 +131,9 @@ func TestRecorderCountersAndBest(t *testing.T) {
 
 func TestNilRecorderIsSafe(t *testing.T) {
 	var r *Recorder
-	r.KickAccepted(1)
-	r.KickReverted()
-	r.LKImprove(1)
-	r.Improve(1)
-	r.ImproveReceived(1, 0)
-	r.Perturb(1)
-	r.PerturbLevel(1)
-	r.Restart()
-	r.BroadcastSent(1)
-	r.BroadcastReceived(1, 0)
-	r.Optimum(1)
+	for k := Kind(0); k < numKinds; k++ {
+		r.Record(k, 1, 0)
+	}
 	r.SetBest(1)
 	if r.Best() != 0 || r.Elapsed() != 0 {
 		t.Fatal("nil recorder must read as zero")
@@ -153,10 +146,10 @@ func TestNilRecorderIsSafe(t *testing.T) {
 func TestObserverCollectsAcrossNodes(t *testing.T) {
 	extra := NewMemorySink()
 	o := NewObserver(3, extra)
-	o.Recorder(0).KickAccepted(50) // kick-level: extra only
-	o.Recorder(0).Improve(50)
-	o.Recorder(1).ImproveReceived(50, 0)
-	o.Recorder(2).Restart()
+	o.Recorder(0).Record(KindKickAccepted, 50, -1) // kick-level: extra only
+	o.Recorder(0).Record(KindImprove, 50, -1)
+	o.Recorder(1).Record(KindImproveReceived, 50, 0)
+	o.Recorder(2).Record(KindRestart, 0, -1)
 
 	events := o.Events()
 	if len(events) != 3 {
@@ -174,7 +167,7 @@ func TestObserverCollectsAcrossNodes(t *testing.T) {
 		t.Fatalf("best = %d, want 50", o.BestLength())
 	}
 	counters := o.Counters()
-	if len(counters) != 3 || counters[1].BroadcastsAccepted != 1 {
+	if len(counters) != 3 || counters[1].Accepted != 1 {
 		t.Fatalf("counters = %+v", counters)
 	}
 	if best := o.Snapshot(); best != 50 {
@@ -218,10 +211,10 @@ func TestConcurrentRecorders(t *testing.T) {
 		go func(r *Recorder) {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
-				r.KickAccepted(int64(1000 - j))
-				r.LKImprove(int64(1000 - j))
+				r.Record(KindKickAccepted, int64(1000-j), -1)
+				r.Record(KindLKImprove, int64(1000-j), -1)
 				if j%100 == 0 {
-					r.BroadcastSent(int64(1000 - j))
+					r.Record(KindBroadcastSent, int64(1000-j), -1)
 				}
 			}
 		}(o.Recorder(i))
@@ -246,7 +239,7 @@ func TestConcurrentRecorders(t *testing.T) {
 	close(stop)
 	rwg.Wait()
 	for _, s := range o.Counters() {
-		if s.Kicks != 1000 || s.Improvements != 1000 || s.BroadcastsSent != 10 {
+		if s.Kicks != 1000 || s.Improvements != 1000 || s.Broadcasts != 10 {
 			t.Fatalf("counters lost updates: %+v", s)
 		}
 	}
@@ -284,29 +277,30 @@ func TestSharedRecorderBestIsMinimum(t *testing.T) {
 
 // TestCountersJSONGolden pins the counter JSON that -metrics serves: every
 // field name, node and best_length present even when zero, and omitempty
-// on exactly the seven group/wire counters. A renamed or retagged field
-// fails here.
+// on exactly the eight iteration/group/wire counters. A renamed or
+// retagged field fails here.
 func TestCountersJSONGolden(t *testing.T) {
 	o := NewObserver(2, nil)
 	r := o.Recorder(1)
-	r.KickAccepted(90)  // kicks 1, kick_accepts 1
-	r.KickReverted()    // kicks 2
-	r.LKImprove(80)     // improvements 1, best_length 80
-	r.Perturb(3)        // perturbations 3
-	r.Restart()         // restarts 1
-	r.BroadcastSent(80) // broadcasts_sent 1
+	r.Record(KindKickAccepted, 90, -1)  // kicks 1, kick_accepts 1
+	r.Record(KindKickReverted, 0, -1)   // kicks 2
+	r.Record(KindLKImprove, 80, -1)     // improvements 1, best_length 80
+	r.Record(KindPerturb, 3, -1)        // perturbations 3
+	r.Record(KindRestart, 0, -1)        // restarts 1
+	r.Record(KindBroadcastSent, 80, -1) // broadcasts_sent 1
 	for i := 0; i < 2; i++ {
-		r.BroadcastReceived(85, 0) // broadcasts_received 2
+		r.Record(KindBroadcastReceived, 85, 0) // broadcasts_received 2
 	}
-	r.ImproveReceived(70, 0) // broadcasts_accepted 1, best_length 70
-	r.MsgDropped(60, 0)      // msg_drops 1
-	r.Merged(75)             // merges 1
-	r.Adopted(75, 0)         // adoptions 1
-	r.FullSent(400, 0)       // full_sends 1, wire_bytes 400
-	r.DeltaSent(30, 0)       // delta_sends 1, wire_bytes 430
-	r.DeltaSent(20, 0)       // delta_sends 2, wire_bytes 450
-	r.DeltaGap(0)            // delta_gaps 1
-	r.CoalescedMsg(70, 0)    // coalesced 1
+	r.Record(KindImproveReceived, 70, 0) // broadcasts_accepted 1, best_length 70
+	r.Record(KindMsgDropped, 60, 0)      // msg_drops 1
+	r.Record(KindIteration, 1, -1)       // iterations 1
+	r.Record(KindMerge, 75, -1)          // merges 1
+	r.Record(KindAdopt, 75, 0)           // adoptions 1
+	r.Record(KindFullSent, 400, 0)       // full_sends 1, wire_bytes 400
+	r.Record(KindDeltaSent, 30, 0)       // delta_sends 1, wire_bytes 430
+	r.Record(KindDeltaSent, 20, 0)       // delta_sends 2, wire_bytes 450
+	r.Record(KindDeltaGap, 0, 0)         // delta_gaps 1
+	r.Record(KindCoalesced, 70, 0)       // coalesced 1
 	got, err := json.Marshal(o.Counters())
 	if err != nil {
 		t.Fatal(err)
@@ -317,7 +311,7 @@ func TestCountersJSONGolden(t *testing.T) {
 		`"broadcasts_accepted":0,"msg_drops":0},` +
 		`{"node":1,"best_length":70,"kicks":2,"kick_accepts":1,"improvements":1,` +
 		`"perturbations":3,"restarts":1,"broadcasts_sent":1,"broadcasts_received":2,` +
-		`"broadcasts_accepted":1,"msg_drops":1,"merges":1,"adoptions":1,` +
+		`"broadcasts_accepted":1,"msg_drops":1,"iterations":1,"merges":1,"adoptions":1,` +
 		`"full_sends":1,"delta_sends":2,"delta_gaps":1,"coalesced":1,"wire_bytes":450}` +
 		`]`
 	if string(got) != want {
@@ -325,9 +319,49 @@ func TestCountersJSONGolden(t *testing.T) {
 	}
 }
 
+// TestRecordCounterDeltas pins, kind by kind, the counters one Record
+// moves: the rule in CounterSnapshot.count. Kinds absent from the table
+// are evented only and must move no counter.
+func TestRecordCounterDeltas(t *testing.T) {
+	const v = 7
+	want := map[Kind]CounterSnapshot{
+		KindKickAccepted:      {Kicks: 1, KickAccepts: 1},
+		KindKickReverted:      {Kicks: 1},
+		KindLKImprove:         {Improvements: 1, BestLength: v},
+		KindImprove:           {BestLength: v},
+		KindImproveReceived:   {Accepted: 1, BestLength: v},
+		KindOptimum:           {BestLength: v},
+		KindPerturb:           {Perturbations: v},
+		KindRestart:           {Restarts: 1},
+		KindBroadcastSent:     {Broadcasts: 1},
+		KindBroadcastReceived: {Received: 1},
+		KindMsgDropped:        {MsgDrops: 1},
+		KindIteration:         {Iterations: 1},
+		KindMerge:             {Merges: 1},
+		KindAdopt:             {Adoptions: 1},
+		KindFullSent:          {FullSends: 1, WireBytes: v},
+		KindDeltaSent:         {DeltaSends: 1, WireBytes: v},
+		KindDeltaGap:          {DeltaGaps: 1},
+		KindCoalesced:         {Coalesced: 1},
+	}
+	for k := Kind(0); k < numKinds; k++ {
+		sink := NewMemorySink()
+		r := NewRecorder(4, sink)
+		r.Record(k, v, 2)
+		w := want[k]
+		w.Node = 4
+		if got := r.Snapshot(); got != w {
+			t.Errorf("%v: counters %+v, want %+v", k, got, w)
+		}
+		if ev := sink.Events(); len(ev) != 1 || ev[0] != (Event{Node: 4, Kind: k, Value: v, From: 2, At: ev[0].At}) {
+			t.Errorf("%v: emitted %+v, want one event carrying value and from", k, ev)
+		}
+	}
+}
+
 func TestMetricsHandler(t *testing.T) {
 	o := NewObserver(2, nil)
-	o.Recorder(0).Improve(77)
+	o.Recorder(0).Record(KindImprove, 77, -1)
 	h := MetricsHandler(func() any { return o.Counters() })
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
@@ -366,10 +400,10 @@ func TestNetworkKindsAreNamedAndEALevel(t *testing.T) {
 func TestRecorderMsgDropAccounting(t *testing.T) {
 	sink := NewMemorySink()
 	r := NewRecorder(3, sink)
-	r.MsgDropped(4012, 1)
-	r.MsgDropped(4012, 2)
-	r.MsgDelivered(4012, 1)
-	r.MsgDuplicated(4012, 2)
+	r.Record(KindMsgDropped, 4012, 1)
+	r.Record(KindMsgDropped, 4012, 2)
+	r.Record(KindMsgDelivered, 4012, 1)
+	r.Record(KindMsgDuplicated, 4012, 2)
 
 	if got := r.Snapshot().MsgDrops; got != 2 {
 		t.Fatalf("MsgDrops = %d, want 2", got)
@@ -384,19 +418,14 @@ func TestRecorderMsgDropAccounting(t *testing.T) {
 	if e := events[2]; e.Kind != KindMsgDelivered || e.From != 1 {
 		t.Fatalf("bad delivery event %+v", e)
 	}
-	// Nil recorders swallow everything, as elsewhere in the package.
-	var nilRec *Recorder
-	nilRec.MsgDropped(1, 0)
-	nilRec.MsgDelivered(1, 0)
-	nilRec.MsgDuplicated(1, 0)
 }
 
 func TestVirtualObserverStampsWithInjectedClock(t *testing.T) {
 	now := 5 * time.Second
 	o := NewVirtualObserver(2, nil, func() time.Duration { return now })
-	o.Recorder(0).Improve(100)
+	o.Recorder(0).Record(KindImprove, 100, -1)
 	now = 9 * time.Second
-	o.Recorder(1).MsgDropped(100, 0)
+	o.Recorder(1).Record(KindMsgDropped, 100, 0)
 	o.Record(KindPartitionStart, -1, 2, -1)
 
 	events := o.Events()

@@ -12,32 +12,34 @@ import (
 // declaration of the counter vocabulary; its JSON tags are what -metrics
 // serves.
 type CounterSnapshot struct {
-	Node               int   `json:"node"`                  // node id; worker id in a parallel plain-CLK solve
-	BestLength         int64 `json:"best_length"`           // lowest published length, 0 if none
-	Kicks              int64 `json:"kicks"`                 // double-bridge kicks attempted
-	KickAccepts        int64 `json:"kick_accepts"`          // kicks whose re-optimized tour was kept
-	Improvements       int64 `json:"improvements"`          // strict LK chain improvements
-	Perturbations      int64 `json:"perturbations"`         // double bridges applied as EA perturbation
-	Restarts           int64 `json:"restarts"`              // restart-rule firings (stagnation > c_r)
-	BroadcastsSent     int64 `json:"broadcasts_sent"`       // tours broadcast to neighbours
-	BroadcastsReceived int64 `json:"broadcasts_received"`   // tours drained from the inbox
-	BroadcastsAccepted int64 `json:"broadcasts_accepted"`   // received tours adopted as node best
-	MsgDrops           int64 `json:"msg_drops"`             // tours lost in transit to this node
-	Merges             int64 `json:"merges,omitempty"`      // in-node elite merge passes completed
-	Adoptions          int64 `json:"adoptions,omitempty"`   // round-best adoptions by workers behind it
-	FullSends          int64 `json:"full_sends,omitempty"`  // whole tours sent (per peer)
-	DeltaSends         int64 `json:"delta_sends,omitempty"` // segment diffs sent (per peer)
-	DeltaGaps          int64 `json:"delta_gaps,omitempty"`  // deltas discarded for a generation gap
-	Coalesced          int64 `json:"coalesced,omitempty"`   // queued tours merged away before drain
-	WireBytes          int64 `json:"wire_bytes,omitempty"`  // payload bytes this node put on the wire
+	Node          int   `json:"node"`                  // node id; worker id in a parallel plain-CLK solve
+	BestLength    int64 `json:"best_length"`           // lowest published length, 0 if none
+	Kicks         int64 `json:"kicks"`                 // double-bridge kicks attempted
+	KickAccepts   int64 `json:"kick_accepts"`          // kicks whose re-optimized tour was kept
+	Improvements  int64 `json:"improvements"`          // strict LK chain improvements
+	Perturbations int64 `json:"perturbations"`         // double bridges applied as EA perturbation
+	Restarts      int64 `json:"restarts"`              // restart-rule firings (stagnation > c_r)
+	Broadcasts    int64 `json:"broadcasts_sent"`       // tours broadcast to neighbours
+	Received      int64 `json:"broadcasts_received"`   // tours drained from the inbox
+	Accepted      int64 `json:"broadcasts_accepted"`   // received tours adopted as node best
+	MsgDrops      int64 `json:"msg_drops"`             // tours lost in transit to this node
+	Iterations    int64 `json:"iterations,omitempty"`  // EA iterations (Figure 1 loop passes)
+	Merges        int64 `json:"merges,omitempty"`      // in-node elite merge passes completed
+	Adoptions     int64 `json:"adoptions,omitempty"`   // round-best adoptions by workers behind it
+	FullSends     int64 `json:"full_sends,omitempty"`  // whole tours sent (per peer)
+	DeltaSends    int64 `json:"delta_sends,omitempty"` // segment diffs sent (per peer)
+	DeltaGaps     int64 `json:"delta_gaps,omitempty"`  // deltas discarded for a generation gap
+	Coalesced     int64 `json:"coalesced,omitempty"`   // queued tours merged away before drain
+	WireBytes     int64 `json:"wire_bytes,omitempty"`  // payload bytes this node put on the wire
 }
 
-// Recorder is one node's handle into the observability layer: it stamps
-// events with the node id and the shared run clock, bumps counters, and
-// tracks the node's best length. All methods are safe on a nil receiver —
-// solvers run unobserved at the cost of a nil check — and on concurrent
+// Recorder is one node's handle into the observability layer and the one
+// place its counts are kept: Record stamps an event with the node id and
+// the shared run clock, bumps the counters its kind maps to, and tracks
+// the node's best length. All methods are safe on a nil receiver — a plain
+// solver runs unobserved at the cost of a nil check — and on concurrent
 // callers: in-node workers share their node's recorder, and the transport
-// bumps MsgDrops on the receiver's recorder from the sender's goroutine.
+// records drops on the receiver's recorder from the sender's goroutine.
 type Recorder struct {
 	start time.Time
 	clock func() time.Duration // overrides wall time when set (virtual clocks)
@@ -74,246 +76,20 @@ func (r *Recorder) emit(k Kind, value int64, from int) {
 	})
 }
 
-// KickAccepted records a kick whose re-optimized tour was kept.
-func (r *Recorder) KickAccepted(length int64) {
+// Record records one event of kind k on this node: it bumps the counters
+// the kind maps to, lowers the best length for the kinds that publish one
+// (see CounterSnapshot.count), and emits the event. value carries the
+// tour length, perturbation count or level, wire bytes or iteration
+// ordinal the kind documents; from is the peer (the sender of received
+// tours, the receiver of sent ones), -1 when none applies.
+func (r *Recorder) Record(k Kind, value int64, from int) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
-	r.c.Kicks++
-	r.c.KickAccepts++
+	r.c.count(k, value)
 	r.mu.Unlock()
-	r.emit(KindKickAccepted, length, -1)
-}
-
-// KickReverted records a kick that was undone.
-func (r *Recorder) KickReverted() {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.c.Kicks++
-	r.mu.Unlock()
-	r.emit(KindKickReverted, 0, -1)
-}
-
-// LKImprove records a strict chain-level improvement.
-func (r *Recorder) LKImprove(length int64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.c.Improvements++
-	r.lowerBest(length)
-	r.mu.Unlock()
-	r.emit(KindLKImprove, length, -1)
-}
-
-// Improve records a node-level best improvement produced locally.
-func (r *Recorder) Improve(length int64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.lowerBest(length)
-	r.mu.Unlock()
-	r.emit(KindImprove, length, -1)
-}
-
-// ImproveReceived records the adoption of a neighbour's tour as node best.
-func (r *Recorder) ImproveReceived(length int64, from int) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.c.BroadcastsAccepted++
-	r.lowerBest(length)
-	r.mu.Unlock()
-	r.emit(KindImproveReceived, length, from)
-}
-
-// Perturb records an applied perturbation of `count` double bridges.
-func (r *Recorder) Perturb(count int) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.c.Perturbations += int64(count)
-	r.mu.Unlock()
-	r.emit(KindPerturb, int64(count), -1)
-}
-
-// PerturbLevel records a change of the variable perturbation strength.
-func (r *Recorder) PerturbLevel(level int) {
-	if r == nil {
-		return
-	}
-	r.emit(KindPerturbLevel, int64(level), -1)
-}
-
-// Restart records a restart-rule firing.
-func (r *Recorder) Restart() {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.c.Restarts++
-	r.mu.Unlock()
-	r.emit(KindRestart, 0, -1)
-}
-
-// BroadcastSent records a tour broadcast to the node's neighbours.
-func (r *Recorder) BroadcastSent(length int64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.c.BroadcastsSent++
-	r.mu.Unlock()
-	r.emit(KindBroadcastSent, length, -1)
-}
-
-// BroadcastReceived records a tour drained from the inbox.
-func (r *Recorder) BroadcastReceived(length int64, from int) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.c.BroadcastsReceived++
-	r.mu.Unlock()
-	r.emit(KindBroadcastReceived, length, from)
-}
-
-// MsgDropped records a tour lost on its way to this node — full inbox,
-// link loss, partition, or a dead receiver. from is the sending node. The
-// transport calls this on the receiver's recorder, possibly from a sender's
-// goroutine; the counter bump is locked and sinks serialize, so that is
-// safe.
-func (r *Recorder) MsgDropped(length int64, from int) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.c.MsgDrops++
-	r.mu.Unlock()
-	r.emit(KindMsgDropped, length, from)
-}
-
-// MsgDelivered records a tour placed into this node's inbox by the network.
-func (r *Recorder) MsgDelivered(length int64, from int) {
-	if r == nil {
-		return
-	}
-	r.emit(KindMsgDelivered, length, from)
-}
-
-// MsgDuplicated records a frame duplicated in transit to this node.
-func (r *Recorder) MsgDuplicated(length int64, from int) {
-	if r == nil {
-		return
-	}
-	r.emit(KindMsgDuplicated, length, from)
-}
-
-// Merged records a completed in-node elite merge pass; length is the
-// fused tour's length (recorded whether or not it beat the round's best).
-func (r *Recorder) Merged(length int64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.c.Merges++
-	r.mu.Unlock()
-	r.emit(KindMerge, length, -1)
-}
-
-// Adopted records this worker restarting from the round's best tour at a
-// group barrier. from is the winning worker id (-1 = a merged tour).
-func (r *Recorder) Adopted(length int64, from int) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.c.Adoptions++
-	r.mu.Unlock()
-	r.emit(KindAdopt, length, from)
-}
-
-// FullSent records a whole tour put on the wire for peer `to`; bytes is
-// the encoded payload size. Called on the sender's recorder.
-func (r *Recorder) FullSent(bytes int64, to int) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.c.FullSends++
-	r.c.WireBytes += bytes
-	r.mu.Unlock()
-	r.emit(KindFullSent, bytes, to)
-}
-
-// DeltaSent records a segment diff put on the wire for peer `to`; bytes
-// is the encoded payload size. Called on the sender's recorder.
-func (r *Recorder) DeltaSent(bytes int64, to int) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.c.DeltaSends++
-	r.c.WireBytes += bytes
-	r.mu.Unlock()
-	r.emit(KindDeltaSent, bytes, to)
-}
-
-// DeltaGap records a delta this node had to discard because its base
-// generation did not match the reconstruction state. from is the sender.
-func (r *Recorder) DeltaGap(from int) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.c.DeltaGaps++
-	r.mu.Unlock()
-	r.emit(KindDeltaGap, 0, from)
-}
-
-// CoalescedMsg records that a queued tour from `from` was merged with a
-// newer one before this node drained it; length is the survivor's.
-func (r *Recorder) CoalescedMsg(length int64, from int) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.c.Coalesced++
-	r.mu.Unlock()
-	r.emit(KindCoalesced, length, from)
-}
-
-// LengthMismatch records a received tour dropped because it is not what
-// its sender claimed; claimed is the sender's length, from the sender.
-func (r *Recorder) LengthMismatch(claimed int64, from int) {
-	if r == nil {
-		return
-	}
-	r.emit(KindLengthMismatch, claimed, from)
-}
-
-// Optimum records that the node reached the target length.
-func (r *Recorder) Optimum(length int64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.lowerBest(length)
-	r.mu.Unlock()
-	r.emit(KindOptimum, length, -1)
-}
-
-// lowerBest lowers the published best length; the caller holds r.mu.
-func (r *Recorder) lowerBest(length int64) {
-	if r.c.BestLength == 0 || length < r.c.BestLength {
-		r.c.BestLength = length
-	}
+	r.emit(k, value, from)
 }
 
 // SetBest publishes the node's best-so-far length without emitting an
@@ -323,7 +99,7 @@ func (r *Recorder) SetBest(length int64) {
 		return
 	}
 	r.mu.Lock()
-	r.lowerBest(length)
+	r.c.lowerBest(length)
 	r.mu.Unlock()
 }
 

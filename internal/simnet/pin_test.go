@@ -43,7 +43,7 @@ func TestPinnedRuns(t *testing.T) {
 			},
 			events:  "3c0fbaf018e41b53a65f337566a7484475c038ea91654a06d3687b83437be4b4",
 			faults:  "8a527d8df684520edbdab38977e98c99d64600a2adfda99c969402711a61520a",
-			counter: "b87ea9eed7160f005b93b3c4ca2016f895287b9b3f30766ebd2c6d25dafbf4c3",
+			counter: "4dc614ff6154cffa268a1efe8a5bfd454e57b1570f943cbb7eff38c503458acb",
 		},
 		{
 			// After node 5's fresh restart a keyframe to node 2 is lost;
@@ -62,7 +62,7 @@ func TestPinnedRuns(t *testing.T) {
 			},
 			events:  "675b2eae2c561d268386e700309dc880333cc8b84ccd6f540918a44356483136",
 			faults:  "7628346867eeb81b58f7ac11a8b2922a6de11887be7f101f04afb8a8c97dbaa2",
-			counter: "26649b0d6e0214bbd85cdd58ea697cbe406768c1f6bc42b491228b5cb37576b9",
+			counter: "14ea356dcdd72d90a5972482f772d14d933f6633dd8933a7a150f27423f622ea",
 		},
 		{
 			// The full-tour protocol with coalescing: the bandwidth model
@@ -79,7 +79,7 @@ func TestPinnedRuns(t *testing.T) {
 			},
 			events:  "ef6b8a730b3551ca43529d3aa5c83f941d32c4453a46683ee4bf3f97f1de3fcd",
 			faults:  "ec15db65de344df5fae2aa31976d8cd0223d93e23a519ec90632b65e959948b8",
-			counter: "9fd90ad9ecd092db03e0636a303f487a0b783eb59916b88da47edae103416d9d",
+			counter: "6cdec1a4fa77025fe9585fdd4b83733631ed4d550dffde5e62788b1c40390749",
 		},
 	}
 	in := tsp.Generate(tsp.FamilyUniform, 120, 61)
@@ -90,7 +90,7 @@ func TestPinnedRuns(t *testing.T) {
 			res := Run(context.Background(), in, c.cfg)
 			events := digest(marshalLog(t, res.Events))
 			faults := digest(mustJSON(t, res.Faults))
-			counters := digest(mustJSON(t, res.Counters))
+			counters := digest(mustJSON(t, res.Stats))
 			if res.Faults.DeltaMismatches != 0 {
 				t.Errorf("%d decoded tours differ from the tour sent", res.Faults.DeltaMismatches)
 			}

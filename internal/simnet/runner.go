@@ -63,16 +63,12 @@ type Config struct {
 	Obs *obs.Observer
 }
 
-// Result aggregates a simulated run; it mirrors dist.ClusterResult plus the
-// fault ledger and virtual-clock readings.
+// Result aggregates a simulated run: the cluster result — its Events
+// stamped with virtual time and byte-identical across replays of the same
+// (instance, Config), its wall-clock Elapsed unset — plus the fault
+// ledger and virtual-clock readings.
 type Result struct {
-	BestTour   tsp.Tour
-	BestLength int64
-	Stats      []core.Stats
-	// Events is the merged event stream, stamped with virtual time and
-	// byte-identical across replays of the same (instance, Config).
-	Events   []obs.Event
-	Counters []obs.CounterSnapshot
+	dist.ClusterResult
 	// Faults is the network's tally of everything it did to traffic.
 	Faults FaultStats
 	// VirtualElapsed is the virtual clock when the simulation ended.
@@ -80,26 +76,6 @@ type Result struct {
 	// TargetReachedAt is the virtual time of the first optimum
 	// announcement (0 = target never reached).
 	TargetReachedAt time.Duration
-	// Nodes echoes the configured node count.
-	Nodes int
-}
-
-// Broadcasts sums node broadcast counts.
-func (r Result) Broadcasts() int64 {
-	var total int64
-	for _, s := range r.Stats {
-		total += s.Broadcasts
-	}
-	return total
-}
-
-// Iterations sums EA iterations across nodes.
-func (r Result) Iterations() int64 {
-	var total int64
-	for _, s := range r.Stats {
-		total += s.Iterations
-	}
-	return total
 }
 
 // Run executes the distributed algorithm on the simulated network and
@@ -129,7 +105,6 @@ func Run(ctx context.Context, inst *tsp.Instance, cfg Config) Result {
 	nw := newNetwork(cfg.Nodes, cfg.Topo, cfg.Link, cfg.InboxCapacity, cfg.Exchange, sched, rng, observer)
 
 	nodes := make([]*core.Node, cfg.Nodes)
-	stats := make([]core.Stats, cfg.Nodes)
 	finished := make([]bool, cfg.Nodes)
 	// gen guards against double-stepping: a crash invalidates the pending
 	// step chain (generation bump); restart starts a fresh chain.
@@ -152,7 +127,7 @@ func Run(ctx context.Context, inst *tsp.Instance, cfg Config) Result {
 	finish := func(i int) {
 		if !finished[i] {
 			finished[i] = true
-			stats[i] = nodes[i].Finish()
+			nodes[i].Finish()
 		}
 	}
 	var step func(i, g int)
@@ -220,25 +195,15 @@ func Run(ctx context.Context, inst *tsp.Instance, cfg Config) Result {
 	// is spent, and in-flight deliveries land so the fault ledger balances
 	// (every sent copy is eventually delivered or accounted as dropped).
 	sched.run(func() bool { return ctx.Err() != nil })
-	// Crashed-forever nodes and early aborts still owe their final stats.
+	// Crashed-forever nodes and early aborts still owe their Finish.
 	for i := range nodes {
 		finish(i)
 	}
 
-	res := Result{
-		Stats:           stats,
-		Events:          observer.Events(),
-		Counters:        observer.Counters(),
+	return Result{
+		ClusterResult:   dist.Collect(observer, nodes),
 		Faults:          nw.stats,
 		VirtualElapsed:  sched.now,
 		TargetReachedAt: nw.stoppedAt,
-		Nodes:           cfg.Nodes,
 	}
-	for _, n := range nodes {
-		tour, l := n.Best()
-		if res.BestTour == nil || l < res.BestLength {
-			res.BestTour, res.BestLength = tour, l
-		}
-	}
-	return res
 }

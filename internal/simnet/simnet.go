@@ -190,12 +190,12 @@ func (nw *Network) send(to int, msg wireMsg) {
 	from, length := msg.wire.From, msg.wire.Length
 	if nw.partitioned && nw.groupOf[from] != nw.groupOf[to] {
 		nw.stats.DroppedPartition++
-		nw.obs.Recorder(to).MsgDropped(length, from)
+		nw.obs.Recorder(to).Record(obs.KindMsgDropped, length, from)
 		return
 	}
 	if nw.link.DropProb > 0 && nw.rng.Float64() < nw.link.DropProb {
 		nw.stats.DroppedLink++
-		nw.obs.Recorder(to).MsgDropped(length, from)
+		nw.obs.Recorder(to).Record(obs.KindMsgDropped, length, from)
 		return
 	}
 	delay := nw.link.Latency.sample(nw.rng)
@@ -222,7 +222,7 @@ func (nw *Network) deliver(to int, msg wireMsg) {
 	from, length := msg.wire.From, msg.wire.Length
 	if nw.crashed[to] {
 		nw.stats.DroppedCrash++
-		nw.obs.Recorder(to).MsgDropped(length, from)
+		nw.obs.Recorder(to).Record(obs.KindMsgDropped, length, from)
 		return
 	}
 	got, tour := nw.xs[to].Receive(msg.wire)
@@ -238,7 +238,7 @@ func (nw *Network) deliver(to int, msg wireMsg) {
 		fallthrough
 	default:
 		nw.stats.Delivered++
-		nw.obs.Recorder(to).MsgDelivered(length, from)
+		nw.obs.Recorder(to).Record(obs.KindMsgDelivered, length, from)
 	}
 	if msg.oracle != nil && tour != nil && !sameTour(tour, msg.oracle) {
 		nw.stats.DeltaMismatches++
@@ -352,7 +352,7 @@ func (c *comm) Broadcast(t tsp.Tour, length int64) {
 		if nw.link.DupProb > 0 && nw.rng.Float64() < nw.link.DupProb {
 			copies = 2
 			nw.stats.Duplicated++
-			nw.obs.Recorder(o).MsgDuplicated(length, c.id)
+			nw.obs.Recorder(o).Record(obs.KindMsgDuplicated, length, c.id)
 		}
 		for k := 0; k < copies; k++ {
 			nw.send(o, msg)

@@ -341,7 +341,7 @@ func TestDropAccounting(t *testing.T) {
 		t.Fatalf("dropped %d of %d sent", res.Faults.DroppedLink, res.Faults.Sent)
 	}
 	var counterDrops int64
-	for _, c := range res.Counters {
+	for _, c := range res.Stats {
 		counterDrops += c.MsgDrops
 	}
 	if counterDrops != res.Faults.Sent {

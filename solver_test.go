@@ -91,7 +91,7 @@ func TestDistributedSolverPerNodeStats(t *testing.T) {
 	}
 	var sent int64
 	for _, ns := range res.PerNode {
-		sent += ns.BroadcastsSent
+		sent += ns.Broadcasts
 	}
 	if sent == 0 {
 		t.Error("no broadcasts counted in a cooperative run")
