@@ -2,10 +2,14 @@ package clk
 
 import (
 	"context"
+	"slices"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
+	"distclk/internal/construct"
+	"distclk/internal/neighbor"
 	"distclk/internal/tsp"
 )
 
@@ -182,4 +186,77 @@ func TestElitePool(t *testing.T) {
 		t.Fatalf("slot rejects pooled and too-long lengths and places new ones: got %d %d %d",
 			p.slot(40), p.slot(45), p.slot(25))
 	}
+}
+
+// TestSharedTreeConcurrentFirstUse: an instance's k-d tree is built on
+// first use. Goroutines that make that first use at once (candidate
+// builds, group workers constructing nearest-neighbour tours, and workers
+// restarting from them) must each see the tree a lone caller builds, and
+// so produce exactly its lists and tours. Run under -race it also checks
+// that the build is published safely.
+func TestSharedTreeConcurrentFirstUse(t *testing.T) {
+	const workers = 4
+	fresh := func() *tsp.Instance { return tsp.Generate(tsp.FamilyDrill, 400, 21) }
+	warm := func() *tsp.Instance {
+		in := fresh()
+		in.KDTree()
+		return in
+	}
+	ctx := context.Background()
+	want := neighbor.Build(warm(), 8)
+
+	in := fresh()
+	lists := make([]*neighbor.Lists, workers)
+	var wg sync.WaitGroup
+	for i := range lists {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			lists[i] = neighbor.Build(in, 8)
+		}(i)
+	}
+	wg.Wait()
+	for i, l := range lists {
+		for c := int32(0); c < int32(in.N()); c++ {
+			if !slices.Equal(l.Of(c), want.Of(c)) {
+				t.Fatalf("goroutine %d: city %d candidates %v, want %v", i, c, l.Of(c), want.Of(c))
+			}
+		}
+	}
+
+	sameWorkers := func(what string, got, ref *Group) {
+		t.Helper()
+		for i := 0; i < workers; i++ {
+			gt, _ := got.Worker(i).Best()
+			rt, _ := ref.Worker(i).Best()
+			if !slices.Equal(gt, rt) {
+				t.Fatalf("%s: worker %d tour differs from the one built on a warm tree", what, i)
+			}
+		}
+	}
+	gp := GroupParams{Workers: workers}
+	p := DefaultParams()
+	p.Neighbors = want
+
+	// Construction: every worker builds its first tour at once.
+	p.Construct = construct.NearestNeighbor
+	sameWorkers("construct", NewGroup(ctx, fresh(), p, gp, 5), NewGroup(ctx, warm(), p, gp, 5))
+
+	// Restart: Quick-Borůvka never touches the tree, so the workers'
+	// concurrent restarts are its first use.
+	p.Construct = construct.QuickBoruvka
+	restart := func(in *tsp.Instance) *Group {
+		g := NewGroup(ctx, in, p, gp, 6)
+		var wg sync.WaitGroup
+		for i := 0; i < workers; i++ {
+			wg.Add(1)
+			go func(s *Solver) {
+				defer wg.Done()
+				s.Reconstruct(construct.NearestNeighbor)
+			}(g.Worker(i))
+		}
+		wg.Wait()
+		return g
+	}
+	sameWorkers("restart", restart(fresh()), restart(warm()))
 }

@@ -280,41 +280,63 @@ func greedy(in *tsp.Instance, nbr *neighbor.Lists) tsp.Tour {
 	return f.close(in)
 }
 
+// nearestNeighbor walks the instance's shared k-d tree through a LiveSet,
+// taking the nearest unvisited city at every step. A step whose nearest
+// city is unique takes it, typically in O(log n); KNearest's order would
+// reach that city first among the unvisited ones too. A step with a tie
+// (another unvisited city at exactly the same squared distance) goes
+// through nearestByKNearest instead, for that step only: the tours this
+// constructor has always produced resolve ties by KNearest's heap order,
+// and every seeded run, restart and pinned digest replays those tours.
+// Ties are rare: 45 of 19,990 steps over ten starts on a 2000-city
+// drilling board, and none on uniform, grid or clustered ones of that
+// size, so the slow path costs little.
 func nearestNeighbor(in *tsp.Instance, start int32) tsp.Tour {
 	n := in.N()
 	if in.Explicit() {
 		return nearestNeighborBrute(in, start)
 	}
-	tree := geom.NewKDTree(in.Pts)
+	tree := in.KDTree()
+	live := tree.NewLiveSet()
 	visited := make([]bool, n)
 	tour := make(tsp.Tour, 0, n)
-	cur := start
-	visited[cur] = true
-	tour = append(tour, cur)
-	for len(tour) < n {
-		next := int32(-1)
-		for k := 8; ; k *= 2 {
-			if k > n-1 {
-				k = n - 1
-			}
-			for _, c := range tree.KNearest(in.Pts[cur], k, int(cur)) {
-				if !visited[c] {
-					next = c
-					break
-				}
-			}
-			if next >= 0 || k == n-1 {
-				break
-			}
+	for cur := start; ; {
+		visited[cur] = true
+		live.Remove(cur)
+		tour = append(tour, cur)
+		if len(tour) == n {
+			return tour
+		}
+		next, tied := live.Nearest(in.Pts[cur])
+		if tied || next < 0 {
+			next = nearestByKNearest(tree, in.Pts[cur], cur, visited)
 		}
 		if next < 0 {
-			break
+			return tour
 		}
-		visited[next] = true
-		tour = append(tour, next)
 		cur = next
 	}
-	return tour
+}
+
+// nearestByKNearest returns the first unvisited city in KNearest's order
+// around cur, doubling k from 8 until one appears, or -1 when none does.
+// Among cities at equal distance, KNearest's heap order decides which
+// comes first.
+func nearestByKNearest(tree *geom.KDTree, q geom.Point, cur int32, visited []bool) int32 {
+	last := tree.Len() - 1
+	for k := 8; ; k *= 2 {
+		if k > last {
+			k = last
+		}
+		for _, c := range tree.KNearest(q, k, int(cur)) {
+			if !visited[c] {
+				return c
+			}
+		}
+		if k == last {
+			return -1
+		}
+	}
 }
 
 func nearestNeighborBrute(in *tsp.Instance, start int32) tsp.Tour {

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"distclk/internal/geom"
 	"distclk/internal/neighbor"
 	"distclk/internal/tsp"
 )
@@ -113,6 +114,93 @@ func TestFragmentSetStitchesDegenerate(t *testing.T) {
 		tour := Build(QuickBoruvka, in, nbr, nil)
 		if err := tour.Validate(n); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
+		}
+	}
+}
+
+// nearestNeighborReference is the k-doubling constructor nearestNeighbor
+// replaced: at every step it asks a fresh k-d tree for the k nearest cities
+// and takes the first unvisited one, doubling k from 8 until one appears.
+// It is the oracle for the LiveSet walk, ties included.
+func nearestNeighborReference(in *tsp.Instance, start int32) tsp.Tour {
+	n := in.N()
+	tree := geom.NewKDTree(in.Pts)
+	visited := make([]bool, n)
+	tour := make(tsp.Tour, 0, n)
+	cur := start
+	visited[cur] = true
+	tour = append(tour, cur)
+	for len(tour) < n {
+		next := int32(-1)
+		for k := 8; ; k *= 2 {
+			if k > n-1 {
+				k = n - 1
+			}
+			for _, c := range tree.KNearest(in.Pts[cur], k, int(cur)) {
+				if !visited[c] {
+					next = c
+					break
+				}
+			}
+			if next >= 0 || k == n-1 {
+				break
+			}
+		}
+		if next < 0 {
+			break
+		}
+		visited[next] = true
+		tour = append(tour, next)
+		cur = next
+	}
+	return tour
+}
+
+// latticeInstance puts cities on an exact integer w×h lattice, with every
+// seventh city doubled, so most steps of a nearest-neighbour walk are ties.
+func latticeInstance(w, h int) *tsp.Instance {
+	var pts []geom.Point
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			p := geom.Point{X: float64(10 * x), Y: float64(10 * y)}
+			pts = append(pts, p)
+			if len(pts)%7 == 0 {
+				pts = append(pts, p)
+			}
+		}
+	}
+	return tsp.New("lattice", geom.Euc2D, pts)
+}
+
+// TestNearestNeighborMatchesReference checks that the LiveSet walk builds
+// the reference tour, city for city: from every start on small instances
+// of each geometric family (and an exact lattice with duplicate points),
+// and from sampled starts at n = 2000.
+func TestNearestNeighborMatchesReference(t *testing.T) {
+	type tc struct {
+		in   *tsp.Instance
+		step int
+	}
+	var cases []tc
+	for _, fam := range []tsp.Family{tsp.FamilyDrill, tsp.FamilyGrid, tsp.FamilyUniform, tsp.FamilyClustered} {
+		cases = append(cases,
+			tc{tsp.Generate(fam, 120, 3), 1},
+			tc{tsp.Generate(fam, 2000, 42), 97})
+	}
+	cases = append(cases, tc{latticeInstance(12, 10), 1})
+	for _, c := range cases {
+		n := c.in.N()
+		for s := 0; s < n; s += c.step {
+			want := nearestNeighborReference(c.in, int32(s))
+			got := nearestNeighbor(c.in, int32(s))
+			if len(got) != len(want) {
+				t.Fatalf("%s n=%d start %d: %d cities, want %d", c.in.Name, n, s, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s n=%d start %d: step %d took %d, want %d", c.in.Name, n, s, i, got[i], want[i])
+				}
+			}
 		}
 	}
 }

@@ -160,48 +160,31 @@ func TestKDTreeOrderedAscending(t *testing.T) {
 	}
 }
 
-func TestKDTreeWithinRadius(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	pts := randomPoints(300, rng)
-	tree := NewKDTree(pts)
-	q := Point{500, 500}
-	r := 150.0
-	got := tree.WithinRadius(q, r, -1, nil)
-	want := map[int32]bool{}
-	for i, p := range pts {
-		if Euclidean(q, p) <= r {
-			want[int32(i)] = true
-		}
-	}
-	if len(got) != len(want) {
-		t.Fatalf("WithinRadius found %d, want %d", len(got), len(want))
-	}
-	for _, i := range got {
-		if !want[i] {
-			t.Fatalf("point %d outside radius", i)
-		}
-	}
-}
-
 func TestKDTreeNearestExcludes(t *testing.T) {
 	pts := []Point{{0, 0}, {1, 0}, {5, 5}}
-	tree := NewKDTree(pts)
-	if got := tree.Nearest(pts[0], 0); got != 1 {
-		t.Errorf("Nearest excluding self = %d, want 1", got)
+	live := NewKDTree(pts).NewLiveSet()
+	if got, _ := live.Nearest(pts[0]); got != 0 {
+		t.Errorf("Nearest with self live = %d, want 0", got)
 	}
-	if got := tree.Nearest(pts[0], -1); got != 0 {
-		t.Errorf("Nearest including self = %d, want 0", got)
+	live.Remove(0)
+	if got, _ := live.Nearest(pts[0]); got != 1 {
+		t.Errorf("Nearest with self removed = %d, want 1", got)
 	}
 }
 
 func TestKDTreeEmptyAndSingle(t *testing.T) {
 	empty := NewKDTree(nil)
-	if got := empty.Nearest(Point{}, -1); got != -1 {
+	if got, _ := empty.NewLiveSet().Nearest(Point{}); got != -1 {
 		t.Errorf("empty tree Nearest = %d", got)
 	}
 	single := NewKDTree([]Point{{1, 2}})
-	if got := single.Nearest(Point{0, 0}, -1); got != 0 {
-		t.Errorf("single tree Nearest = %d", got)
+	live := single.NewLiveSet()
+	if got, tied := live.Nearest(Point{0, 0}); got != 0 || tied {
+		t.Errorf("single tree Nearest = %d (tied %v), want 0", got, tied)
+	}
+	live.Remove(0)
+	if got, _ := live.Nearest(Point{0, 0}); got != -1 {
+		t.Errorf("single tree Nearest after Remove = %d, want -1", got)
 	}
 	if got := single.KNearest(Point{0, 0}, 5, 0); len(got) != 0 {
 		t.Errorf("single tree excluding self returned %v", got)
@@ -267,5 +250,80 @@ func TestBoundingBox(t *testing.T) {
 	min, max = BoundingBox(nil)
 	if min != (Point{}) || max != (Point{}) {
 		t.Fatal("empty bbox not zero")
+	}
+}
+
+// TestLiveSetMatchesBruteForce removes points in random order and checks,
+// after every removal, that Nearest returns a live point at the brute-force
+// minimum squared distance and reports a tie exactly when a second live
+// point shares it. Lattices and doubled points make ties common.
+func TestLiveSetMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	lattice := func(w, h int) []Point {
+		var pts []Point
+		for y := 0; y < h; y++ {
+			for x := 0; x < w; x++ {
+				pts = append(pts, Point{X: float64(3 * x), Y: float64(3 * y)})
+			}
+		}
+		return pts
+	}
+	withDuplicates := func(pts []Point) []Point {
+		for i := 0; i < len(pts)/4; i++ {
+			pts = append(pts, pts[rng.Intn(len(pts))])
+		}
+		return pts
+	}
+	sets := []struct {
+		name string
+		pts  []Point
+	}{
+		{"random", randomPoints(300, rng)},
+		{"random+duplicates", withDuplicates(randomPoints(200, rng))},
+		{"lattice", lattice(17, 13)},
+		{"lattice+duplicates", withDuplicates(lattice(11, 9))},
+		{"one-point-many", []Point{{2, 2}, {2, 2}, {2, 2}, {2, 2}, {7, 1}}},
+	}
+	for _, set := range sets {
+		name, pts := set.name, set.pts
+		live := NewKDTree(pts).NewLiveSet()
+		alive := make([]bool, len(pts))
+		for i := range alive {
+			alive[i] = true
+		}
+		check := func(q Point) {
+			best, count := math.Inf(1), 0
+			for i, p := range pts {
+				if !alive[i] {
+					continue
+				}
+				switch d := SqDist(p, q); {
+				case d < best:
+					best, count = d, 1
+				case d == best:
+					count++
+				}
+			}
+			got, tied := live.Nearest(q)
+			if count == 0 {
+				if got != -1 {
+					t.Fatalf("%s: Nearest on an empty set = %d", name, got)
+				}
+				return
+			}
+			if got < 0 || !alive[got] || SqDist(pts[got], q) != best {
+				t.Fatalf("%s: Nearest(%v) = %d, want a live point at squared distance %v", name, q, got, best)
+			}
+			if tied != (count > 1) {
+				t.Fatalf("%s: Nearest(%v) tied = %v with %d live points at the minimum", name, q, tied, count)
+			}
+		}
+		for _, i := range rng.Perm(len(pts)) {
+			live.Remove(int32(i))
+			alive[i] = false
+			check(pts[i])
+			check(pts[rng.Intn(len(pts))])
+			check(Point{X: rng.Float64() * 60, Y: rng.Float64() * 60})
+		}
 	}
 }

@@ -1,14 +1,21 @@
 package geom
 
-import "sort"
+import (
+	"math"
+	"sort"
+)
 
 // KDTree is a static 2-d tree over a point set, built once and queried for
-// k-nearest-neighbour and fixed-radius searches. Points are referenced by
-// their index in the slice passed to NewKDTree, so callers can map results
-// back to city identifiers.
+// k-nearest-neighbour searches, directly or through a LiveSet. Points are
+// referenced by their index in the slice passed to NewKDTree, so callers
+// can map results back to city identifiers. Queries never write the tree,
+// so one tree serves any number of concurrent readers.
 type KDTree struct {
-	pts   []Point
+	pts []Point
+	// nodes is in pre-order: node 0 is the root, and each subtree occupies
+	// a contiguous range starting at its root.
 	nodes []kdNode
+	at    []int32 // at[i] is the node holding point i
 	root  int32
 }
 
@@ -24,6 +31,7 @@ func NewKDTree(pts []Point) *KDTree {
 	t := &KDTree{
 		pts:   pts,
 		nodes: make([]kdNode, 0, len(pts)),
+		at:    make([]int32, len(pts)),
 	}
 	order := make([]int32, len(pts))
 	for i := range order {
@@ -49,6 +57,7 @@ func (t *KDTree) build(order []int32, depth int) int32 {
 	node := kdNode{idx: order[mid], axis: axis}
 	pos := int32(len(t.nodes))
 	t.nodes = append(t.nodes, node)
+	t.at[node.idx] = pos
 	left := t.build(order[:mid], depth+1)
 	right := t.build(order[mid+1:], depth+1)
 	t.nodes[pos].left = left
@@ -166,31 +175,90 @@ func (t *KDTree) search(ni int32, q Point, exclude int32, h *knnHeap) {
 	}
 }
 
-// Nearest returns the index of the point nearest to query, excluding index
-// exclude (-1 for none). It returns -1 on an empty tree.
-func (t *KDTree) Nearest(query Point, exclude int) int32 {
-	r := t.KNearest(query, 1, exclude)
-	if len(r) == 0 {
-		return -1
-	}
-	return r[0]
+// LiveSet is a deletable view of a KDTree: every point starts live, Remove
+// takes one out, and Nearest finds the closest point still live. It keeps
+// one live-point count per tree node and never writes the tree, so many
+// LiveSets can walk one shared tree at once. Subtrees whose count reaches
+// zero are skipped, so a walk that removes points as it goes (a
+// nearest-neighbour tour) does not slow down as the tree empties.
+type LiveSet struct {
+	t    *KDTree
+	live []int32 // live points in each node's subtree
 }
 
-// WithinRadius appends to dst the indices of all points within Euclidean
-// distance r of query (excluding index exclude; -1 for none) and returns the
-// extended slice. Order is unspecified.
-func (t *KDTree) WithinRadius(query Point, r float64, exclude int, dst []int32) []int32 {
-	return t.radius(t.root, query, r*r, int32(exclude), dst)
+// NewLiveSet returns a view of t with every point live.
+func (t *KDTree) NewLiveSet() *LiveSet {
+	live := make([]int32, len(t.nodes))
+	// Pre-order puts children after their parent, so a reverse pass sees
+	// both children's sizes before the parent's.
+	for i := len(t.nodes) - 1; i >= 0; i-- {
+		nd := &t.nodes[i]
+		live[i] = 1
+		if nd.left >= 0 {
+			live[i] += live[nd.left]
+		}
+		if nd.right >= 0 {
+			live[i] += live[nd.right]
+		}
+	}
+	return &LiveSet{t: t, live: live}
 }
 
-func (t *KDTree) radius(ni int32, q Point, r2 float64, exclude int32, dst []int32) []int32 {
-	if ni < 0 {
-		return dst
+// Remove takes point i out of the set. Removing a point twice corrupts the
+// counts; callers track membership themselves.
+func (s *LiveSet) Remove(i int32) {
+	q := s.t.at[i]
+	for ni := s.t.root; ; {
+		s.live[ni]--
+		if ni == q {
+			return
+		}
+		// q lies in the right subtree iff its pre-order index reaches the
+		// right child's.
+		if r := s.t.nodes[ni].right; r >= 0 && q >= r {
+			ni = r
+		} else {
+			ni = s.t.nodes[ni].left
+		}
 	}
-	node := &t.nodes[ni]
-	p := t.pts[node.idx]
-	if node.idx != exclude && SqDist(p, q) <= r2 {
-		dst = append(dst, node.idx)
+}
+
+// Nearest returns the live point nearest to query by SqDist, or -1 when
+// none is live (or no distance compares, as with NaN coordinates). tied
+// reports that another live point lies at exactly the same squared
+// distance; which of the tied points is returned is then unspecified.
+func (s *LiveSet) Nearest(query Point) (best int32, tied bool) {
+	w := liveWalk{best: -1, d: math.Inf(1)}
+	s.nearest(s.t.root, query, &w)
+	return w.best, w.tied
+}
+
+type liveWalk struct {
+	best int32
+	d    float64
+	tied bool
+}
+
+func (s *LiveSet) nearest(ni int32, q Point, w *liveWalk) {
+	if ni < 0 || s.live[ni] == 0 {
+		return
+	}
+	node := &s.t.nodes[ni]
+	own := s.live[ni]
+	if node.left >= 0 {
+		own -= s.live[node.left]
+	}
+	if node.right >= 0 {
+		own -= s.live[node.right]
+	}
+	p := s.t.pts[node.idx]
+	if own > 0 {
+		switch d := SqDist(p, q); {
+		case d < w.d:
+			w.best, w.d, w.tied = node.idx, d, false
+		case d == w.d:
+			w.tied = true
+		}
 	}
 	var delta float64
 	if node.axis == 0 {
@@ -202,9 +270,10 @@ func (t *KDTree) radius(ni int32, q Point, r2 float64, exclude int32, dst []int3
 	if delta > 0 {
 		near, far = far, near
 	}
-	dst = t.radius(near, q, r2, exclude, dst)
-	if delta*delta <= r2 {
-		dst = t.radius(far, q, r2, exclude, dst)
+	s.nearest(near, q, w)
+	// <=, not <: a far-side point at exactly the best distance is a tie
+	// the caller must hear about.
+	if delta*delta <= w.d {
+		s.nearest(far, q, w)
 	}
-	return dst
 }

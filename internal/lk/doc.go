@@ -10,7 +10,9 @@
 //     total gain.
 //   - Chains are edge-disjoint from Params.RelaxDepth on: no step at such
 //     a depth adds back an edge its chain removed or removes an edge its
-//     chain added.
+//     chain added. The check reads a per-city record of the chain's steps
+//     (4 bytes per city, allocated with the Optimizer), not a scan of the
+//     chain, and gives the scan's answer at every RelaxDepth.
 //   - An accepted chain re-queues both endpoints of every edge it removed
 //     or added.
 //   - The tour array and its position index stay mutually consistent

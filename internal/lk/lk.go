@@ -49,9 +49,13 @@ func (p Params) breadth(depth int) int {
 // orientation-free: apply/undo re-derive the array direction from Next(t1),
 // because shorter-side flips may mirror the stored orientation. y is not
 // needed to flip; it is kept so an accepted chain can re-queue every
-// endpoint of the edges it changed.
+// endpoint of the edges it changed, and so the chain record can find the
+// step by it.
 type step struct {
 	loose, v, y int32
+	// sameY is the path index of the previous step with the same y, or
+	// -1: the chain record's link (see Optimizer.yTop).
+	sameY int32
 }
 
 // Optimizer runs Lin-Kernighan over an ArrayTour. It maintains don't-look
@@ -81,6 +85,20 @@ type Optimizer struct {
 	bestPath []step
 	touched  []int32
 
+	// The chain record: yTop[c] is the path index of the last step whose
+	// y is c, or -1, and each step's sameY links to the one before it. A
+	// step's removed (v,y) and added (loose,y) edges both end at its y, so
+	// these per-city lists hold every earlier step a candidate step can
+	// clash with (see undoesChain). pushStep and popStep keep the record
+	// in step with path, so between chains every entry is -1 again. Its
+	// cost is 4 bytes per city, which matters because a 64-node simulated
+	// cluster holds 64 optimizers over one instance.
+	yTop []int32
+	// checkSpy, when set, sees every disjointness check dive makes and the
+	// record's answer. Only tests set it, to compare the record with a
+	// scan of the whole path.
+	checkSpy func(loose, v, y int32, undoes bool)
+
 	// relaxed-gain state: relaxDepth is fixed at construction; relaxLimit
 	// is recomputed once per chain from g0 and read (not recomputed) on
 	// every dive level.
@@ -97,6 +115,10 @@ type Optimizer struct {
 // from the instance and MaxDepth, so Optimize never grows a slice.
 func NewOptimizer(inst *tsp.Instance, nbr *neighbor.Lists, tour tsp.Tour, params Params) *Optimizer {
 	n := inst.N()
+	yTop := make([]int32, n)
+	for i := range yTop {
+		yTop[i] = -1
+	}
 	return &Optimizer{
 		inst:       inst,
 		nbr:        nbr,
@@ -109,6 +131,7 @@ func NewOptimizer(inst *tsp.Instance, nbr *neighbor.Lists, tour tsp.Tour, params
 		path:       make([]step, 0, params.MaxDepth),
 		bestPath:   make([]step, 0, params.MaxDepth),
 		touched:    make([]int32, 0, 3*params.MaxDepth+2),
+		yTop:       yTop,
 		relaxDepth: params.RelaxDepth,
 	}
 }
@@ -300,9 +323,10 @@ func (o *Optimizer) tryChain(t1, loose int32) int64 {
 //
 // The chain is also edge-disjoint, as in Lin and Kernighan's original
 // rule: from RelaxDepth on, a step may neither add back an edge the chain
-// removed nor remove an edge it added (undoesChain). This keeps the
-// greedy tail from re-adding an edge it just removed at unchanged partial
-// gain, which would flip on to MaxDepth without finding anything new.
+// removed nor remove an edge it added (undoesChain, an O(1) read of the
+// chain record). This keeps the greedy tail from re-adding an edge it just
+// removed at unchanged partial gain, which would flip on to MaxDepth
+// without finding anything new.
 //
 //distlint:hotpath
 func (o *Optimizer) dive(loose int32, G int64, depth int) {
@@ -343,14 +367,20 @@ func (o *Optimizer) dive(loose int32, G int64, depth int) {
 		if v == loose {
 			continue // degenerate: y is loose's path successor
 		}
-		if depth >= o.relaxDepth && o.undoesChain(loose, v, y) {
-			continue // would undo one of the chain's own exchanges
+		if depth >= o.relaxDepth {
+			undoes := o.undoesChain(loose, v, y)
+			if o.checkSpy != nil {
+				o.checkSpy(loose, v, y, undoes)
+			}
+			if undoes {
+				continue // would undo one of the chain's own exchanges
+			}
 		}
 		newG := g + o.dist(y, v)
 		closeGain := newG - o.dist(v, t1)
 
 		s := step{loose: loose, v: v, y: y}
-		o.path = append(o.path, s)
+		o.pushStep(s)
 		if closeGain > o.bestGain {
 			o.bestGain = closeGain
 			o.bestLen = len(o.path)
@@ -364,7 +394,7 @@ func (o *Optimizer) dive(loose int32, G int64, depth int) {
 			o.dive(v, newG, depth+1)
 			o.undoStep(s)
 		}
-		o.path = o.path[:len(o.path)-1]
+		o.popStep()
 
 		if o.bestGain > 0 && depth >= o.relaxDepth {
 			break // first improvement: commit the chain found so far
@@ -376,31 +406,60 @@ func (o *Optimizer) dive(loose int32, G int64, depth int) {
 	}
 }
 
+// pushStep appends s to the chain and links it into the chain record.
+//
+//distlint:hotpath
+func (o *Optimizer) pushStep(s step) {
+	s.sameY = o.yTop[s.y]
+	o.yTop[s.y] = int32(len(o.path))
+	o.path = append(o.path, s)
+}
+
+// popStep drops the chain's last step and unlinks it from the record.
+//
+//distlint:hotpath
+func (o *Optimizer) popStep() {
+	last := len(o.path) - 1
+	s := &o.path[last]
+	o.yTop[s.y] = s.sameY
+	o.path = o.path[:last]
+}
+
 // undoesChain reports whether the step that adds (loose,y) and removes
 // (v,y) would add back an edge the chain removed or remove an edge it
 // added. Each earlier step removed (v_i,y_i) and added (loose_i,y_i), two
-// edges that end at y_i, so one scan of the path (at most MaxDepth steps)
-// checks both. No other overlap is possible: an edge the chain added can
-// be added again only after it was removed, and vice versa. The first
-// removed edge (t1, path[0].loose) needs no check either: no step touches
-// an edge at t1, since y == t1 is skipped and so v != t1.
+// edges that end at y_i, so a clash needs y_i to be y, loose or v, and the
+// chain record lists exactly those steps:
+//   - y_i == y: the step adds back (v_i,y) if loose == v_i, or removes
+//     (loose_i,y) if v == loose_i;
+//   - y_i == loose: it adds back (v_i,loose) if y == v_i;
+//   - y_i == v: it removes (loose_i,v) if y == loose_i.
+//
+// No other overlap is possible: an edge the chain added can be added again
+// only after it was removed, and vice versa. The first removed edge
+// (t1, path[0].loose) needs no check either: no step touches an edge at
+// t1, since y == t1 is skipped and so v != t1.
+//
+// The lists are short. Every step checked here removes one of its y's two
+// tour edges that the chain never touched before, so under the classic
+// rule no city is y more than twice on one path; steps below RelaxDepth
+// go unchecked and can add at most one more entry each.
 //
 //distlint:hotpath
 func (o *Optimizer) undoesChain(loose, v, y int32) bool {
-	for _, s := range o.path {
-		switch s.y {
-		case y:
-			if loose == s.v || v == s.loose {
-				return true
-			}
-		case loose:
-			if y == s.v {
-				return true
-			}
-		case v:
-			if y == s.loose {
-				return true
-			}
+	for i := o.yTop[y]; i >= 0; i = o.path[i].sameY {
+		if s := &o.path[i]; loose == s.v || v == s.loose {
+			return true
+		}
+	}
+	for i := o.yTop[loose]; i >= 0; i = o.path[i].sameY {
+		if y == o.path[i].v {
+			return true
+		}
+	}
+	for i := o.yTop[v]; i >= 0; i = o.path[i].sameY {
+		if y == o.path[i].loose {
+			return true
 		}
 	}
 	return false

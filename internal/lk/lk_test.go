@@ -286,3 +286,94 @@ func TestAcceptedChainsAreEdgeDisjoint(t *testing.T) {
 		}
 	}
 }
+
+// undoesChainScan is the disjointness check the chain record replaced: a
+// scan of every earlier step of the path. It is the record's oracle.
+func undoesChainScan(path []step, loose, v, y int32) bool {
+	for _, s := range path {
+		switch s.y {
+		case y:
+			if loose == s.v || v == s.loose {
+				return true
+			}
+		case loose:
+			if y == s.v {
+				return true
+			}
+		case v:
+			if y == s.loose {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestChainRecordMatchesScan: at every disjointness check of full classic
+// and relaxed descents, the chain record gives the scan's answer, and
+// after each descent the record is empty again.
+func TestChainRecordMatchesScan(t *testing.T) {
+	for _, fam := range []tsp.Family{tsp.FamilyUniform, tsp.FamilyDrill} {
+		for _, relax := range []int{0, 1, 3, 6} {
+			in := tsp.Generate(fam, 600, 8)
+			nbr := neighbor.Build(in, 8)
+			p := DefaultParams()
+			p.RelaxDepth = relax
+			o := NewOptimizer(in, nbr, randomTourOf(in.N(), rand.New(rand.NewSource(4))), p)
+			checks, clashes := 0, 0
+			o.checkSpy = func(loose, v, y int32, undoes bool) {
+				checks++
+				want := undoesChainScan(o.path, loose, v, y)
+				if undoes != want {
+					t.Fatalf("%v relax=%d: step (%d,%d,%d) on path %v: record says %v, scan %v",
+						fam, relax, loose, v, y, o.path, undoes, want)
+				}
+				if want {
+					clashes++
+				}
+			}
+			o.OptimizeAll(nil)
+			if checks == 0 || clashes == 0 {
+				t.Fatalf("%v relax=%d: %d checks, %d clashes; the oracle saw too little", fam, relax, checks, clashes)
+			}
+			for c, top := range o.yTop {
+				if top != -1 {
+					t.Fatalf("%v relax=%d: record entry for city %d is %d after the descent", fam, relax, c, top)
+				}
+			}
+		}
+	}
+}
+
+// TestChainRecordMatchesScanOnRepeatedCities drives the record directly
+// with random pushes and pops over six cities, so one city is y of many
+// steps at once (as unchecked steps below RelaxDepth allow), and compares
+// it with the scan on every step dive can check: loose, v and y distinct.
+func TestChainRecordMatchesScanOnRepeatedCities(t *testing.T) {
+	const n = 6
+	in := tsp.Generate(tsp.FamilyUniform, n, 1)
+	p := DefaultParams()
+	o := NewOptimizer(in, neighbor.Build(in, n-1), tsp.IdentityTour(n), p)
+	rng := rand.New(rand.NewSource(3))
+	distinct := func() (a, b, c int32) {
+		perm := rng.Perm(n)
+		return int32(perm[0]), int32(perm[1]), int32(perm[2])
+	}
+	for op := 0; op < 4000; op++ {
+		if len(o.path) > 0 && (len(o.path) == p.MaxDepth || rng.Intn(3) == 0) {
+			o.popStep()
+		} else {
+			loose, v, y := distinct()
+			o.pushStep(step{loose: loose, v: v, y: y})
+		}
+		for q := 0; q < n*n*n; q++ {
+			loose, v, y := int32(q%n), int32(q/n%n), int32(q/(n*n))
+			if loose == v || v == y || y == loose {
+				continue
+			}
+			if got, want := o.undoesChain(loose, v, y), undoesChainScan(o.path, loose, v, y); got != want {
+				t.Fatalf("op %d: step (%d,%d,%d) on path %v: record says %v, scan %v", op, loose, v, y, o.path, got, want)
+			}
+		}
+	}
+}

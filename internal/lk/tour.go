@@ -56,26 +56,6 @@ func (t *ArrayTour) Pos(c int32) int32 { return t.pos[c] }
 // At returns the city at position i.
 func (t *ArrayTour) At(i int32) int32 { return t.order[i] }
 
-// Between reports whether b lies on the forward path from a to c
-// (exclusive of a and c). All three must be distinct.
-func (t *ArrayTour) Between(a, b, c int32) bool {
-	pa, pb, pc := t.pos[a], t.pos[b], t.pos[c]
-	if pa < pc {
-		return pa < pb && pb < pc
-	}
-	return pb > pa || pb < pc
-}
-
-// SeqLen returns the number of cities on the forward path from a to b,
-// inclusive of both endpoints.
-func (t *ArrayTour) SeqLen(a, b int32) int32 {
-	d := t.pos[b] - t.pos[a]
-	if d < 0 {
-		d += t.n
-	}
-	return d + 1
-}
-
 // Flip reverses the forward segment from a to b (inclusive). When the
 // complement is shorter it reverses that instead, which yields the same
 // Hamiltonian cycle but may invert the stored orientation. Because of

@@ -50,12 +50,6 @@ func TestArrayTourBasics(t *testing.T) {
 	if got := at.Pos(4); got != 2 {
 		t.Errorf("Pos(4) = %d, want 2", got)
 	}
-	if got := at.SeqLen(3, 2); got != 5 {
-		t.Errorf("SeqLen(3,2) = %d, want 5", got)
-	}
-	if got := at.SeqLen(1, 1); got != 1 {
-		t.Errorf("SeqLen(1,1) = %d, want 1", got)
-	}
 }
 
 func TestArrayTourFlipSmall(t *testing.T) {
@@ -141,26 +135,6 @@ func TestArrayTourFlipMatchesNaive(t *testing.T) {
 		at.Flip(a, b)
 		if !sameEdges(edgeSet(at), edgeSet(NewArrayTour(naive))) {
 			t.Fatalf("Flip(%d,%d) on %v: got cycle %v, want %v", a, b, perm, at.Tour(), naive)
-		}
-	}
-}
-
-func TestArrayTourBetween(t *testing.T) {
-	at := NewArrayTour(tsp.Tour{0, 1, 2, 3, 4, 5})
-	cases := []struct {
-		a, b, c int32
-		want    bool
-	}{
-		{0, 2, 4, true},
-		{0, 4, 2, false},
-		{4, 5, 1, true},
-		{4, 0, 1, true},
-		{4, 2, 1, false},
-		{5, 0, 3, true},
-	}
-	for _, tc := range cases {
-		if got := at.Between(tc.a, tc.b, tc.c); got != tc.want {
-			t.Errorf("Between(%d,%d,%d) = %v, want %v", tc.a, tc.b, tc.c, got, tc.want)
 		}
 	}
 }

@@ -64,7 +64,7 @@ func coarsen(in *tsp.Instance, coarsest int, rng *rand.Rand) []level {
 // merges pairs into their midpoint.
 func coarsenOnce(in *tsp.Instance, rng *rand.Rand) (level, bool) {
 	n := in.N()
-	tree := geom.NewKDTree(in.Pts)
+	tree := in.KDTree()
 	matched := make([]int32, n)
 	for i := range matched {
 		matched[i] = -1

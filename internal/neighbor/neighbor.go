@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"distclk/internal/geom"
 	"distclk/internal/par"
 	"distclk/internal/tsp"
 )
@@ -177,7 +176,7 @@ func Build(in *tsp.Instance, k int) *Lists {
 		l.mustValidate()
 		return l
 	}
-	tree := geom.NewKDTree(in.Pts)
+	tree := in.KDTree()
 	// Fetch extra Euclidean neighbours, then re-sort by the instance metric:
 	// rounding (EUC_2D/ATT/GEO) can permute near-ties.
 	fetch := k + 4
@@ -215,7 +214,7 @@ func BuildQuadrant(in *tsp.Instance, perQuad int) *Lists {
 		return Build(in, k)
 	}
 	l := newUniform(n, k)
-	tree := geom.NewKDTree(in.Pts)
+	tree := in.KDTree()
 	dist := in.DistFunc()
 	fetch := 4 * k
 	if fetch > n-1 {

@@ -3,12 +3,14 @@ package tsp
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"distclk/internal/geom"
 )
 
 // Instance is a symmetric TSP instance. Geometric instances carry point
 // coordinates and a metric; EXPLICIT instances carry a full distance matrix.
+// Pts must not change once KDTree has been called.
 type Instance struct {
 	Name    string
 	Comment string
@@ -18,6 +20,9 @@ type Instance struct {
 	// explicit holds the row-major n*n matrix for EXPLICIT instances.
 	explicit []int64
 	n        int
+
+	treeOnce sync.Once
+	tree     *geom.KDTree
 }
 
 // New creates a geometric instance over the given points.
@@ -32,6 +37,16 @@ func NewExplicit(name string, n int, matrix []int64) (*Instance, error) {
 		return nil, fmt.Errorf("tsp: explicit matrix has %d entries, want %d", len(matrix), n*n)
 	}
 	return &Instance{Name: name, explicit: matrix, n: n}, nil
+}
+
+// KDTree returns the k-d tree over Pts. It is built on the first call, by
+// exactly one caller even when many goroutines make that call at once, and
+// shared by every caller after that: a node restarting from a
+// nearest-neighbour tour and the candidate builders pay for it once per
+// instance. An EXPLICIT instance has no points and gets an empty tree.
+func (in *Instance) KDTree() *geom.KDTree {
+	in.treeOnce.Do(func() { in.tree = geom.NewKDTree(in.Pts) })
+	return in.tree
 }
 
 // N reports the number of cities.
