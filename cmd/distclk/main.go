@@ -1,8 +1,7 @@
 // Command distclk runs the distributed Chained Lin-Kernighan algorithm.
 //
-// In-process mode (default) simulates the whole cluster with goroutines
-// and channels — the configuration used by the paper-reproduction
-// experiments:
+// In-process mode (default) runs the whole cluster in one process, one
+// goroutine per node exchanging tours over channels:
 //
 //	distclk -standin fl3795 -nodes 8 -time 60s
 //
@@ -13,7 +12,8 @@
 //	distclk -tsp inst.tsp -hub host:7070 -listen :0 -time 600s
 //
 // Simnet mode replays the cluster on a deterministic virtual-time network
-// simulator — same seed, same result, any host — with injectable faults:
+// simulator — same seed, same result, any host — with injectable faults.
+// It is the substrate of every cluster run cmd/repro makes:
 //
 //	distclk -standin E1k.1 -simnet -nodes 16 -drop 0.05 -viters 200
 //

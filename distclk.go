@@ -6,9 +6,10 @@
 // solve them through a Solver — plain Chained Lin-Kernighan (the Concorde
 // linkern heuristic rebuilt in Go) by default, or the paper's distributed
 // evolutionary algorithm (WithNodes) in which cooperating nodes exchange
-// tours over a hypercube overlay. WithWorkers makes either mode multi-core:
-// concurrent kickers share the candidate tables and cooperate in
-// synchronous rounds with periodic elite-tour merging. Every solve is
+// tours over a hypercube overlay, each node running one CLK chain.
+// WithWorkers makes a plain solve multi-core: concurrent kickers share the
+// candidate tables and cooperate in synchronous rounds with periodic
+// elite-tour merging. Every solve is
 // context-driven: cancel the context or let its deadline fire and Solve
 // promptly returns the best tour found so far. Progress exposes periodic
 // snapshots of the running solve. Lower layers (the LK engine, kicking
@@ -22,13 +23,11 @@
 // once and reports every conflict in a single error.
 //
 // Mode-independent: WithKick, WithBudget, WithTarget, WithSeed,
-// WithProgressInterval, WithWorkers (explicit n >= 1), WithCandidates,
-// WithRelaxedGain, WithEventSink.
+// WithProgressInterval, WithCandidates, WithRelaxedGain, WithEventSink.
 //
 // Plain CLK only (reject WithNodes alongside them): WithMaxKicks,
-// WithMergeEvery, and the auto-sizing WithWorkers(0) — with cooperating
-// nodes time-sharing the machine, the per-node worker count must be an
-// explicit choice.
+// WithWorkers, WithMergeEvery. Each distributed node runs one chain, as
+// in the paper.
 //
 // Distributed EA only (require WithNodes): WithTopology, WithEAParameters,
 // WithKicksPerCall, and the scaled exchange protocol — WithTourDiff,
@@ -117,8 +116,9 @@ type Snapshot struct {
 	Restarts int64
 	// Broadcasts is the total tours broadcast across nodes.
 	Broadcasts int64
-	// Workers is the number of concurrent in-node searchers per solve
-	// (resolved: WithWorkers(0) shows the GOMAXPROCS value it picked).
+	// Workers is the number of concurrent plain-CLK searchers, 1 for a
+	// distributed solve (resolved: WithWorkers(0) shows the GOMAXPROCS
+	// value it picked).
 	Workers int
 	// WorkerKicks is the cumulative kick count per worker (plain CLK) or
 	// per node (distributed solves), indexed by worker/node id.
@@ -252,16 +252,14 @@ func WithMaxKicks(k int64) Option {
 	}
 }
 
-// WithWorkers runs n concurrent kickers per solve (per node for
-// distributed solves). They share the read-only candidate tables and keep
+// WithWorkers runs n concurrent kickers in a plain-CLK solve. They share the read-only candidate tables and keep
 // private zero-allocation search state. They kick in synchronous rounds:
 // after each round, workers behind the round's best tour restart from it,
 // and elite tours are fused periodically (see WithMergeEvery). n = 0
-// auto-sizes to GOMAXPROCS — plain CLK only, since cooperating nodes
-// time-share the machine. Negative n is rejected. The default, n = 1, is
+// auto-sizes to GOMAXPROCS. Negative n is rejected. The default, n = 1, is
 // the classic single kicker. A kick-bounded solve (WithMaxKicks) returns
 // the same tour for a given seed and worker count, whatever the scheduler
-// does.
+// does. Plain CLK only: each distributed node runs one chain.
 func WithWorkers(n int) Option {
 	return func(o *options) error {
 		o.workersSet = true
@@ -496,8 +494,8 @@ func (o *options) combos() []error {
 		if o.mergeSet {
 			errs = append(errs, fmt.Errorf("distclk: WithMergeEvery applies to parallel plain-CLK solves only; distributed nodes already exchange tours by broadcast"))
 		}
-		if o.workersAuto {
-			errs = append(errs, fmt.Errorf("distclk: WithWorkers(0) auto-sizing conflicts with WithNodes: cooperating nodes time-share the machine, pick an explicit per-node worker count"))
+		if o.workersSet {
+			errs = append(errs, fmt.Errorf("distclk: WithWorkers applies to plain-CLK solves only; each distributed node runs one chain"))
 		}
 	} else {
 		if o.topoSet {
@@ -711,7 +709,6 @@ func (s *Solver) solveCluster(ctx context.Context, nbr *neighbor.Lists, relax in
 	ea.CLK.Neighbors = nbr
 	ea.CLK.LK.RelaxDepth = relax
 	ea.KicksPerCall = s.o.kpc
-	ea.Workers = s.o.workers
 	res := dist.RunCluster(ctx, s.in, dist.ClusterConfig{
 		Nodes:    s.o.nodes,
 		Topo:     s.o.topo,

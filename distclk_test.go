@@ -147,7 +147,6 @@ func TestAllOptionsApply(t *testing.T) {
 		WithSeed(9),
 		WithTopology("ring"),
 		WithEAParameters(32, 128),
-		WithWorkers(2),
 		WithBudget(500*time.Millisecond),
 		WithTourDiff(16),
 		WithGossip(1),

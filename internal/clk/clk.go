@@ -266,8 +266,8 @@ func (s *Solver) Run(ctx context.Context, b Budget) Result {
 	}
 }
 
-// chain is Run's kick loop without the result copy; a Group round calls
-// it directly. It returns the kicks made and the strict improvements.
+// chain is Run's kick loop without the result copy; RunPerturbed and a
+// Group round call it directly. It returns the kicks made and the strict improvements.
 //
 //distlint:hotpath
 func (s *Solver) chain(ctx context.Context, stop func() bool, b Budget) (kicks, improves int64) {
@@ -283,8 +283,7 @@ func (s *Solver) chain(ctx context.Context, stop func() bool, b Budget) (kicks, 
 // Perturb applies `count` double-bridge moves to the incumbent *without*
 // re-optimizing or acceptance, placing the perturbed tour in the working
 // state with kick endpoints queued. The distributed EA uses this as its
-// variable-strength VARIATETOUR step; the caller then runs a
-// Group.RunPerturbed round.
+// variable-strength VARIATETOUR step; the caller then runs RunPerturbed.
 func (s *Solver) Perturb(count int) {
 	s.opt.Tour.CopyFrom(s.best)
 	length := s.bestLen
@@ -299,11 +298,21 @@ func (s *Solver) Perturb(count int) {
 	s.Rec.Record(obs.KindPerturb, int64(count), -1)
 }
 
-// adoptPerturbed re-optimizes the perturbed working tour and adopts it as
-// the chain incumbent even if it is worse than the previous one: the EA's
-// SELECTBESTTOUR owns acceptance.
-func (s *Solver) adoptPerturbed(stop func() bool) {
+// RunPerturbed is the distributed EA's chained LK call. It re-optimizes
+// the perturbed working tour (see Perturb) and adopts it as the chain
+// incumbent even if it is worse than the previous one — the EA's
+// SELECTBESTTOUR owns acceptance — then chains b.MaxKicks kicks from it;
+// a zero MaxKicks makes none. It leaves Elapsed unset: the EA keeps its
+// own clock.
+func (s *Solver) RunPerturbed(ctx context.Context, b Budget) Result {
+	stop := cancelPoll(ctx)
 	s.opt.Optimize(stop)
 	s.bestLen = s.opt.Length()
 	s.best.CopyFrom(s.opt.Tour)
+	var res Result
+	if b.MaxKicks > 0 {
+		res.Kicks, res.Improves = s.chain(ctx, stop, b)
+	}
+	res.Tour, res.Length = s.Best()
+	return res
 }

@@ -250,17 +250,16 @@ func TestCLKCancellation(t *testing.T) {
 	}
 }
 
-// TestPerturbAndRunPerturbed drives the distributed EA's variation step on
-// a one-worker group: Perturb worker 0, then one RunPerturbed round.
+// TestPerturbAndRunPerturbed drives the distributed EA's variation step:
+// Perturb, then one RunPerturbed call.
 func TestPerturbAndRunPerturbed(t *testing.T) {
 	in := tsp.Generate(tsp.FamilyUniform, 200, 41)
-	g := NewGroup(context.Background(), in, DefaultParams(), GroupParams{Workers: 1}, 5)
-	s := g.Worker(0)
+	s := New(in, DefaultParams(), 5)
 	base := s.BestLength()
 	s.Perturb(3)
-	res := g.RunPerturbed(context.Background(), Budget{MaxKicks: 10})
+	res := s.RunPerturbed(context.Background(), Budget{MaxKicks: 10})
 	if res.Kicks != 10 {
-		t.Fatalf("round made %d kicks, want 10", res.Kicks)
+		t.Fatalf("call made %d kicks, want 10", res.Kicks)
 	}
 	if err := res.Tour.Validate(200); err != nil {
 		t.Fatal(err)

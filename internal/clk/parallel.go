@@ -97,7 +97,7 @@ type tally struct {
 // depends on completion order, so a kick-bounded run is a function of the
 // seed and the worker count alone, whatever the scheduler does.
 //
-// A Group is built once; Run is single-use, RunPerturbed may repeat.
+// A Group is built once and Run once.
 type Group struct {
 	inst       *tsp.Instance
 	mergeEvery int64 // 0 = never
@@ -151,10 +151,6 @@ func NewGroup(ctx context.Context, inst *tsp.Instance, p Params, gp GroupParams,
 // Workers returns the resolved worker count.
 func (g *Group) Workers() int { return len(g.workers) }
 
-// Worker returns worker i's solver, for callers that steer incumbents
-// between rounds (the distributed EA re-roots workers at its node best).
-func (g *Group) Worker(i int) *Solver { return g.workers[i] }
-
 // SetRecorder attaches a recorder to worker i and publishes its initial
 // incumbent length, mirroring what the facade does for a plain Solver.
 func (g *Group) SetRecorder(i int, rec *obs.Recorder) {
@@ -198,7 +194,7 @@ func (g *Group) Run(ctx context.Context, b Budget) Result {
 	nextMerge := g.mergeEvery
 	for !b.expired(ctx, g.kicks, g.BestLength()) {
 		g.share(k, b.MaxKicks)
-		w := g.round(ctx, b.Target, false)
+		w := g.round(ctx, b.Target)
 		merge := g.mergeEvery > 0 && g.kicks >= nextMerge
 		if merge {
 			nextMerge = (g.kicks/g.mergeEvery + 1) * g.mergeEvery
@@ -213,28 +209,6 @@ func (g *Group) Run(ctx context.Context, b Budget) Result {
 		Improves: g.improves,
 		//lint:ignore nodeterminism Elapsed is reporting-only; it never feeds back into the seeded search
 		Elapsed: time.Since(start),
-	}
-}
-
-// RunPerturbed runs one round for the distributed EA: worker 0
-// re-optimizes its perturbed working tour (see Solver.Perturb) and adopts
-// it as its chain incumbent even if it is worse than the previous one —
-// the EA's SELECTBESTTOUR owns acceptance — then chains from it, while
-// every other worker chains from its own incumbent; each makes
-// b.MaxKicks (> 0) kicks. It returns the winner's tour with the round's
-// summed kicks and improvements, and leaves Elapsed unset: the EA keeps
-// its own clock. Re-rooting workers between rounds is the caller's.
-func (g *Group) RunPerturbed(ctx context.Context, b Budget) Result {
-	kicks, improves := g.kicks, g.improves
-	for i := range g.tallies {
-		g.tallies[i].quota = b.MaxKicks
-	}
-	tour, length := g.workers[g.round(ctx, b.Target, true)].Best()
-	return Result{
-		Tour:     tour,
-		Length:   length,
-		Kicks:    g.kicks - kicks,
-		Improves: g.improves - improves,
 	}
 }
 
@@ -258,20 +232,20 @@ func (g *Group) share(k, total int64) {
 
 // round runs one round on the tallies' quotas, worker 0 on the calling
 // goroutine and the others on their own, and returns the winner after the
-// barrier. perturbed makes worker 0 adopt its perturbed working tour first.
-func (g *Group) round(ctx context.Context, target int64, perturbed bool) int {
+// barrier.
+func (g *Group) round(ctx context.Context, target int64) int {
 	if len(g.workers) == 1 {
-		g.runWorker(ctx, 0, target, perturbed)
+		g.runWorker(ctx, 0, target)
 	} else {
 		var wg sync.WaitGroup
 		for i := 1; i < len(g.workers); i++ {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				g.runWorker(ctx, i, target, false)
+				g.runWorker(ctx, i, target)
 			}(i)
 		}
-		g.runWorker(ctx, 0, target, perturbed)
+		g.runWorker(ctx, 0, target)
 		wg.Wait()
 	}
 	for _, t := range g.tallies {
@@ -283,15 +257,11 @@ func (g *Group) round(ctx context.Context, target int64, perturbed bool) int {
 
 // runWorker is worker i's part of a round. It writes only tallies[i] and
 // worker i's own solver.
-func (g *Group) runWorker(ctx context.Context, i int, target int64, perturbed bool) {
+func (g *Group) runWorker(ctx context.Context, i int, target int64) {
 	s, t := g.workers[i], &g.tallies[i]
-	stop := cancelPoll(ctx)
-	if perturbed {
-		s.adoptPerturbed(stop)
-	}
 	t.kicks, t.improves = 0, 0
 	if t.quota > 0 {
-		t.kicks, t.improves = s.chain(ctx, stop, Budget{MaxKicks: t.quota, Target: target})
+		t.kicks, t.improves = s.chain(ctx, cancelPoll(ctx), Budget{MaxKicks: t.quota, Target: target})
 	}
 }
 

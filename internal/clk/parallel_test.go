@@ -132,7 +132,7 @@ func TestRoundAllocsIndependentOfK(t *testing.T) {
 		allocs := func(k int64) float64 {
 			g.share(k, 0)
 			// AllocsPerRun's own warm-up round reaches steady state.
-			return testing.AllocsPerRun(2, func() { g.round(context.Background(), 0, false) })
+			return testing.AllocsPerRun(2, func() { g.round(context.Background(), 0) })
 		}
 		if a10, a100 := allocs(10), allocs(100); a10 != a100 {
 			t.Errorf("%d workers: a round allocates %.1f objects at K=10 but %.1f at K=100", workers, a10, a100)
@@ -227,8 +227,8 @@ func TestSharedTreeConcurrentFirstUse(t *testing.T) {
 	sameWorkers := func(what string, got, ref *Group) {
 		t.Helper()
 		for i := 0; i < workers; i++ {
-			gt, _ := got.Worker(i).Best()
-			rt, _ := ref.Worker(i).Best()
+			gt, _ := got.workers[i].Best()
+			rt, _ := ref.workers[i].Best()
 			if !slices.Equal(gt, rt) {
 				t.Fatalf("%s: worker %d tour differs from the one built on a warm tree", what, i)
 			}
@@ -253,7 +253,7 @@ func TestSharedTreeConcurrentFirstUse(t *testing.T) {
 			go func(s *Solver) {
 				defer wg.Done()
 				s.Reconstruct(construct.NearestNeighbor)
-			}(g.Worker(i))
+			}(g.workers[i])
 		}
 		wg.Wait()
 		return g

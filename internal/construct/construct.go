@@ -22,12 +22,6 @@ const (
 	NearestNeighbor
 	// SpaceFilling orders cities along a Hilbert curve.
 	SpaceFilling
-	// Random returns a uniformly random permutation.
-	Random
-	// Christofides is MST + greedy odd-vertex matching + Euler shortcut,
-	// the constructor the paper's §2.1 compares Quick-Borůvka against
-	// (there seeded with Held-Karp weights; see christofides.go).
-	Christofides
 )
 
 // String names the method.
@@ -41,17 +35,13 @@ func (m Method) String() string {
 		return "nearest-neighbor"
 	case SpaceFilling:
 		return "space-filling"
-	case Random:
-		return "random"
-	case Christofides:
-		return "christofides"
 	}
 	return "unknown"
 }
 
 // Build constructs a tour with the selected method. nbr supplies candidate
 // edges for QuickBoruvka and Greedy (it may be nil, in which case lists with
-// k=8 are built internally). rng drives tie-breaking and Random.
+// k=8 are built internally). rng picks nearest neighbour's start city.
 func Build(m Method, in *tsp.Instance, nbr *neighbor.Lists, rng *rand.Rand) tsp.Tour {
 	switch m {
 	case QuickBoruvka:
@@ -66,10 +56,6 @@ func Build(m Method, in *tsp.Instance, nbr *neighbor.Lists, rng *rand.Rand) tsp.
 		return nearestNeighbor(in, start)
 	case SpaceFilling:
 		return spaceFilling(in)
-	case Random:
-		return randomTour(in.N(), rng)
-	case Christofides:
-		return christofides(in)
 	}
 	//lint:ignore nopanic Method is a closed enum; a value outside it is a programming error with no recovery, and Build's signature has no error path
 	panic("construct: unknown method")
@@ -381,14 +367,5 @@ func spaceFilling(in *tsp.Instance) tsp.Tour {
 		}
 		return tour[i] < tour[j]
 	})
-	return tour
-}
-
-func randomTour(n int, rng *rand.Rand) tsp.Tour {
-	tour := tsp.IdentityTour(n)
-	if rng == nil {
-		rng = rand.New(rand.NewSource(1))
-	}
-	rng.Shuffle(n, func(i, j int) { tour[i], tour[j] = tour[j], tour[i] })
 	return tour
 }

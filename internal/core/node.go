@@ -18,25 +18,15 @@ type Config struct {
 	// CR is the restart threshold: when NumNoImprovements exceeds it, the
 	// incumbent is discarded and a fresh initial tour is constructed.
 	CR int
-	// KicksPerCall bounds the embedded CLK run in each EA iteration, per
-	// worker (<= 0 selects clk.KicksPerRound: max(20, n/10), scaling work
-	// with instance size).
+	// KicksPerCall bounds the embedded CLK run in each EA iteration (<= 0
+	// selects clk.KicksPerRound: max(20, n/10), scaling work with instance
+	// size).
 	KicksPerCall int64
 	// CLK configures the underlying Chained Lin-Kernighan solver.
 	CLK clk.Params
 	// DisablePerturbation turns PERTURBATE into the identity, for the
 	// paper's "running without DBMs" ablation (§4.2).
 	DisablePerturbation bool
-	// Workers is the number of in-node CLK searchers backing each EA
-	// iteration (<= 1 = the classic single kicker). Each iteration is one
-	// clk.Group round: worker 0 runs the perturbed chain, the others chain
-	// from their own incumbents (re-rooted at the node best when strictly
-	// behind it), and the shortest result wins, ties to the lowest worker
-	// index. The round does not depend on completion order, so simnet
-	// replays byte-identically at any worker count. Each worker charges
-	// virtual CPU in stepping drivers (see Node.CostFactor), so simnet
-	// budgets stay comparable.
-	Workers int
 }
 
 // DefaultConfig returns the paper's parameter setting.
@@ -94,8 +84,7 @@ type Node struct {
 	ID     int
 	cfg    Config
 	inst   *tsp.Instance
-	group  *clk.Group  // the in-node workers
-	solver *clk.Solver // worker 0: the node's perturbed chain
+	solver *clk.Solver // the node's one perturbed chain
 	comm   Comm
 	rec    *obs.Recorder // never nil: the node's one record of its counts
 
@@ -110,9 +99,8 @@ type Node struct {
 	began    bool
 }
 
-// NewNode builds a node over a fresh CLK group of max(1, cfg.Workers)
-// workers; worker 0 gets seed itself. seed must differ across nodes so
-// their searches diverge.
+// NewNode builds a node over a fresh CLK solver seeded with seed. seed
+// must differ across nodes so their searches diverge.
 func NewNode(id int, inst *tsp.Instance, cfg Config, comm Comm, seed int64) *Node {
 	if cfg.CV <= 0 {
 		cfg.CV = 64
@@ -123,31 +111,19 @@ func NewNode(id int, inst *tsp.Instance, cfg Config, comm Comm, seed int64) *Nod
 	if cfg.KicksPerCall <= 0 {
 		cfg.KicksPerCall = clk.KicksPerRound(inst.N())
 	}
-	//lint:ignore ctxhygiene NewNode's kept signature supplies no context, so construction (one LK pass per worker) runs to completion; a never-cancelled context makes NewGroup's abort hook nil
-	g := clk.NewGroup(context.TODO(), inst, cfg.CLK, clk.GroupParams{
-		Workers:    max(1, cfg.Workers),
-		MergeEvery: -1,
-	}, seed)
 	n := &Node{
 		ID:     id,
 		cfg:    cfg,
 		inst:   inst,
-		group:  g,
-		solver: g.Worker(0),
+		solver: clk.New(inst, cfg.CLK, seed),
 		comm:   comm,
 	}
 	n.SetRecorder(nil)
 	return n
 }
 
-// CostFactor is the virtual CPU multiplier a stepping driver charges per
-// EA iteration: one per in-node worker. simnet multiplies StepCost by it
-// so a 4-worker node consumes virtual time 4x faster — budgets measured
-// in virtual seconds stay comparable across worker counts.
-func (n *Node) CostFactor() int { return n.group.Workers() }
-
 // SetRecorder attaches the node's observability recorder and threads it
-// into every in-node worker. The recorder keeps the node's counts; nil
+// into the node's solver. The recorder keeps the node's counts; nil
 // attaches a plain one that counts without emitting, as NewNode does.
 // Call before Run.
 func (n *Node) SetRecorder(rec *obs.Recorder) {
@@ -155,11 +131,7 @@ func (n *Node) SetRecorder(rec *obs.Recorder) {
 		rec = obs.NewRecorder(n.ID, nil)
 	}
 	n.rec = rec
-	// Workers share the node's recorder: counters and the best length are
-	// locked and sinks serialize, so concurrent kick events are safe.
-	for i := 0; i < n.group.Workers(); i++ {
-		n.group.Worker(i).Rec = rec
-	}
+	n.solver.Rec = rec
 }
 
 // Solver exposes the underlying CLK engine (read-mostly; used by tests and
@@ -326,11 +298,6 @@ func (n *Node) CrashRecover() {
 	n.solver.Reconstruct(restartConstruct)
 	n.sBest, n.sBestLen = n.solver.Best()
 	n.sPrevLen = n.sBestLen
-	// The crash lost every worker's volatile state: the others restart
-	// from the reconstructed tour too.
-	for i := 1; i < n.group.Workers(); i++ {
-		n.group.Worker(i).SetTour(n.sBest)
-	}
 }
 
 // honest recomputes a received tour before it may win SELECTBESTTOUR: a
@@ -376,16 +343,10 @@ func (n *Node) setPerturbLevel(level int) {
 	}
 }
 
-// runCLK runs one group round under the per-iteration kick budget, clipped
-// by the global context/target. Worker 0 carries the perturbed chain; the
-// other workers first re-root at the node best when strictly behind it.
+// runCLK runs the perturbed chain under the per-iteration kick budget,
+// clipped by the global context/target.
 func (n *Node) runCLK(ctx context.Context, b Budget) clk.Result {
-	for i := 1; i < n.group.Workers(); i++ {
-		if w := n.group.Worker(i); n.sBest != nil && w.BestLength() > n.sBestLen {
-			w.SetTour(n.sBest)
-		}
-	}
-	return n.group.RunPerturbed(ctx, clk.Budget{
+	return n.solver.RunPerturbed(ctx, clk.Budget{
 		MaxKicks: n.cfg.KicksPerCall,
 		Target:   b.Target,
 	})

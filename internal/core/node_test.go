@@ -381,31 +381,6 @@ func TestContextCancellationStopsRun(t *testing.T) {
 	}
 }
 
-func TestNodeWorkersParallel(t *testing.T) {
-	in := smallInstance(200, 21)
-	cfg := DefaultConfig()
-	cfg.Workers = 3
-	cfg.KicksPerCall = 30
-	node := NewNode(0, in, cfg, NopComm{}, 1)
-	if node.CostFactor() != 3 {
-		t.Fatalf("CostFactor = %d, want 3", node.CostFactor())
-	}
-	observe(node)
-	stats := node.Run(testCtx(t, 20*time.Second), Budget{MaxIterations: 4})
-	tour, l := node.Best()
-	if err := tour.Validate(200); err != nil {
-		t.Fatal(err)
-	}
-	if l != stats.BestLength {
-		t.Fatalf("Best length %d != stats best %d", l, stats.BestLength)
-	}
-	// Begin + 4 iterations, 3 workers, 30 kicks each: the aggregate kick
-	// count must reflect every worker, not just the primary chain.
-	if want := int64(5 * 3 * 30); stats.Kicks < want {
-		t.Fatalf("stats.Kicks = %d, want >= %d (all workers counted)", stats.Kicks, want)
-	}
-}
-
 // TestUnobservedNodeCounts: a node with no recorder attached counts
 // through the plain recorder NewNode gives it, so it reports exactly what
 // an identically seeded observed node does, iterations included.
@@ -414,7 +389,6 @@ func TestUnobservedNodeCounts(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.CV, cfg.CR = 1, 2 // stagnation restarts within the budget
 	cfg.KicksPerCall = 5
-	cfg.Workers = 2
 	b := Budget{MaxIterations: 12}
 
 	plain := NewNode(3, in, cfg, NopComm{}, 31)
@@ -429,13 +403,5 @@ func TestUnobservedNodeCounts(t *testing.T) {
 	}
 	if got.Node != 3 || got.Iterations != 12 || got.Restarts == 0 || got.Kicks == 0 {
 		t.Fatalf("counters %+v: want node 3, 12 iterations, restarts and kicks", got)
-	}
-}
-
-func TestNodeWorkersDefaultCostFactor(t *testing.T) {
-	in := smallInstance(50, 22)
-	node := NewNode(0, in, DefaultConfig(), NopComm{}, 1)
-	if node.CostFactor() != 1 {
-		t.Fatalf("CostFactor = %d, want 1 for the classic single kicker", node.CostFactor())
 	}
 }

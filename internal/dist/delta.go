@@ -263,9 +263,6 @@ func (d *DeltaDecoder) Decode(w WireTour) (t tsp.Tour, ok bool) {
 	return next.Clone(), true
 }
 
-// Generation returns the decoder's current stream generation.
-func (d *DeltaDecoder) Generation() uint32 { return d.gen }
-
 func (d *DeltaDecoder) validPerm(t tsp.Tour) bool {
 	if len(d.seen) != len(t) {
 		d.seen = make([]bool, len(t))

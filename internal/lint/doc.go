@@ -3,7 +3,8 @@
 // machine-checks the invariants the reproduction depends on: seeded
 // byte-identical replay (paper §3, CI's repro-smoke gate), the zero-alloc
 // kick loop behind the throughput numbers (§2.1), context-driven
-// cancellation, and panic-free library code.
+// cancellation, panic-free library code, bounded goroutines, lock and
+// atomic discipline, and a documented event vocabulary.
 //
 // The framework loads packages via `go list -e -export -deps -json`,
 // parses their non-test Go files, and type-checks them against the
@@ -25,6 +26,17 @@
 //     come first and context.Background()/TODO() are forbidden.
 //   - nopanic: forbids panic in library (non-main) packages outside
 //     must*/Must* invariant-violation helpers.
+//   - goroleak: every go statement in a library package must observe a
+//     context, a channel or a WaitGroup, so no goroutine outlives what
+//     bounds it.
+//   - locksafety: a Lock is released by a defer or on every path, no
+//     channel or network operation blocks under a mutex, and the
+//     per-package lock-order graph has no cycle.
+//   - atomichygiene: a field accessed through sync/atomic is never read
+//     or written plainly elsewhere, and an atomic wrapper-typed field is
+//     never copied.
+//   - eventsync: the obs event-kind constants, their names and the
+//     markdown event tables (level column included) agree.
 //
 // Findings are suppressed one at a time with
 //

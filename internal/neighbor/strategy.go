@@ -15,13 +15,6 @@ import (
 type Strategy struct {
 	// Name is the stable identifier used by flags and facade options.
 	Name string
-	// Doc is a one-line description for -help output and docs tables.
-	Doc string
-	// NeedsCoords reports whether the builder requires city coordinates;
-	// such strategies return an error on explicit (matrix-only) instances.
-	NeedsCoords bool
-	// Cost is the asymptotic build cost, for documentation.
-	Cost string
 	// Build constructs the lists. k is the per-city candidate budget;
 	// strategies with a natural degree (delaunay) may ignore it.
 	Build func(in *tsp.Instance, k int) (*Lists, error)
@@ -31,45 +24,36 @@ type Strategy struct {
 // map: iteration order is part of the CLI/docs contract.
 var strategies = []Strategy{
 	{
+		// k nearest neighbours per city (k-d tree), O(n log n); the
+		// historical default.
 		Name: "knn",
-		Doc:  "k nearest neighbours per city (k-d tree); the historical default",
-		Cost: "O(n log n)",
 		Build: func(in *tsp.Instance, k int) (*Lists, error) {
 			return Build(in, k), nil
 		},
 	},
 	{
-		Name:        "quadrant",
-		Doc:         "ceil(k/4) nearest per coordinate quadrant; resists candidate starvation on clustered instances",
-		NeedsCoords: false, // falls back to knn on explicit instances, like BuildQuadrant
-		Cost:        "O(n log n)",
+		// ceil(k/4) nearest per coordinate quadrant, O(n log n); resists
+		// candidate starvation on clustered instances and falls back to
+		// knn on explicit ones.
+		Name: "quadrant",
 		Build: func(in *tsp.Instance, k int) (*Lists, error) {
 			return BuildQuadrant(in, (k+3)/4), nil
 		},
 	},
 	{
+		// LKH alpha-nearness ranking from a Held-Karp 1-tree: the strongest
+		// lists, with an O(n^2) build.
 		Name: "alpha",
-		Doc:  "LKH alpha-nearness ranking from a Held-Karp 1-tree; strongest lists, quadratic build",
-		Cost: "O(n^2)",
 		Build: func(in *tsp.Instance, k int) (*Lists, error) {
 			return BuildAlpha(in, k, DefaultAscentIterations)
 		},
 	},
 	{
-		Name:        "delaunay",
-		Doc:         "Delaunay triangulation edges (natural degree ~6, ignores k); planar connectivity without tuning",
-		NeedsCoords: true,
-		Cost:        "O(n log n)",
-		Build:       BuildDelaunay,
+		// Delaunay triangulation edges (natural degree ~6, ignores k),
+		// O(n log n); needs coordinates.
+		Name:  "delaunay",
+		Build: BuildDelaunay,
 	},
-}
-
-// Strategies returns the registered strategies in fixed order. The slice
-// is a copy; mutating it does not affect the registry.
-func Strategies() []Strategy {
-	out := make([]Strategy, len(strategies))
-	copy(out, strategies)
-	return out
 }
 
 // StrategyNames returns the registered names plus "auto", for flag help.

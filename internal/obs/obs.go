@@ -276,58 +276,6 @@ func (m *MemorySink) Len() int {
 	return len(m.events)
 }
 
-// RingSink keeps the most recent events in a fixed-size ring — bounded
-// memory for arbitrarily long runs.
-type RingSink struct {
-	mu    sync.Mutex
-	buf   []Event
-	next  int
-	total int64
-}
-
-// NewRingSink returns a ring retaining the last `capacity` events.
-func NewRingSink(capacity int) *RingSink {
-	if capacity <= 0 {
-		capacity = 1
-	}
-	return &RingSink{buf: make([]Event, 0, capacity)}
-}
-
-// Emit stores the event, evicting the oldest when full.
-func (r *RingSink) Emit(e Event) {
-	r.mu.Lock()
-	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, e)
-	} else {
-		r.buf[r.next] = e
-	}
-	r.next = (r.next + 1) % cap(r.buf)
-	r.total++
-	r.mu.Unlock()
-}
-
-// Events returns the retained events, oldest first.
-func (r *RingSink) Events() []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Event, 0, len(r.buf))
-	if len(r.buf) == cap(r.buf) {
-		out = append(out, r.buf[r.next:]...)
-		out = append(out, r.buf[:r.next]...)
-	} else {
-		out = append(out, r.buf...)
-	}
-	return out
-}
-
-// Total reports how many events were emitted over the sink's lifetime
-// (including evicted ones).
-func (r *RingSink) Total() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
-}
-
 type filterSink struct {
 	next Sink
 	keep func(Kind) bool

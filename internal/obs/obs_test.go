@@ -50,25 +50,6 @@ func TestMemorySink(t *testing.T) {
 	}
 }
 
-func TestRingSinkEvicts(t *testing.T) {
-	r := NewRingSink(3)
-	for i := int64(0); i < 7; i++ {
-		r.Emit(Event{Value: i})
-	}
-	got := r.Events()
-	if len(got) != 3 {
-		t.Fatalf("retained %d, want 3", len(got))
-	}
-	for i, e := range got {
-		if e.Value != int64(4+i) {
-			t.Fatalf("ring[%d] = %d, want %d (oldest first)", i, e.Value, 4+i)
-		}
-	}
-	if r.Total() != 7 {
-		t.Fatalf("total = %d, want 7", r.Total())
-	}
-}
-
 func TestFilterAndMulti(t *testing.T) {
 	a, b := NewMemorySink(), NewMemorySink()
 	s := Multi(Filter(a, Kind.EALevel), b)
@@ -204,7 +185,7 @@ func TestNilObserverIsSafe(t *testing.T) {
 // node goroutines hammering recorders that share one collector. Run under
 // -race this validates the locking story.
 func TestConcurrentRecorders(t *testing.T) {
-	o := NewObserver(8, NewRingSink(64))
+	o := NewObserver(8, NewMemorySink())
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)

@@ -38,8 +38,8 @@ type CounterSnapshot struct {
 // the shared run clock, bumps the counters its kind maps to, and tracks
 // the node's best length. All methods are safe on a nil receiver — a plain
 // solver runs unobserved at the cost of a nil check — and on concurrent
-// callers: in-node workers share their node's recorder, and the transport
-// records drops on the receiver's recorder from the sender's goroutine.
+// callers: the transport records drops on the receiver's recorder from the
+// sender's goroutine, and progress samplers read the counts mid-search.
 type Recorder struct {
 	start time.Time
 	clock func() time.Duration // overrides wall time when set (virtual clocks)

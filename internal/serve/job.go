@@ -24,7 +24,8 @@ type job struct {
 	id       string
 	priority string
 	key      string // instance hash + canonical params (cache key)
-	in       *tsp.Instance
+	name     string // the instance's name and size, for the status
+	n        int
 	params   SolveParams
 
 	// bcast fans solve events out to streaming subscribers; closed when
@@ -36,6 +37,7 @@ type job struct {
 
 	mu     sync.Mutex
 	state  string
+	in     *tsp.Instance  // the solve's input; nil once the job is terminal
 	resp   *SolveResponse // terminal result (done/failed/cancelled)
 	body   []byte         // marshaled resp, the bytes served and cached
 	cancel context.CancelFunc
@@ -46,6 +48,8 @@ func newJob(id, priority, key string, in *tsp.Instance, params SolveParams) *job
 		id:       id,
 		priority: priority,
 		key:      key,
+		name:     in.Name,
+		n:        in.N(),
 		in:       in,
 		params:   params,
 		bcast:    obs.NewBroadcaster(),
@@ -57,6 +61,18 @@ func newJob(id, priority, key string, in *tsp.Instance, params SolveParams) *job
 // instanceHash is the hex instance digest (the cache key's first part).
 func (j *job) instanceHash() string { return j.key[:64] }
 
+// response starts the job's terminal response with the fields every
+// terminal state reports.
+func (j *job) response(state string) *SolveResponse {
+	return &SolveResponse{
+		Status:       state,
+		Name:         j.name,
+		N:            j.n,
+		InstanceHash: j.instanceHash(),
+		Params:       j.params.canonical(),
+	}
+}
+
 // status snapshots the job for GET /v1/jobs/{id}.
 func (j *job) status() JobStatus {
 	j.mu.Lock()
@@ -64,18 +80,18 @@ func (j *job) status() JobStatus {
 	return JobStatus{JobID: j.id, Status: j.state, Priority: j.priority, Result: j.resp}
 }
 
-// setRunning records the worker's cancel hook and flips to running.
-// Returns false if the job was cancelled while queued — the worker must
-// then skip it.
-func (j *job) setRunning(cancel context.CancelFunc) bool {
+// setRunning records the worker's cancel hook, flips to running and
+// hands the worker the instance. It returns nil if the job was cancelled
+// while queued — the worker must then skip it.
+func (j *job) setRunning(cancel context.CancelFunc) *tsp.Instance {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state != stateQueued {
-		return false
+		return nil
 	}
 	j.state = stateRunning
 	j.cancel = cancel
-	return true
+	return j.in
 }
 
 // finish records the terminal state and result, closes the broadcaster
@@ -90,6 +106,9 @@ func (j *job) finish(state string, resp *SolveResponse, body []byte) {
 	j.resp = resp
 	j.body = body
 	j.cancel = nil
+	// A retained terminal job reports only its name, size and hash: the
+	// instance and its k-d tree go.
+	j.in = nil
 	j.mu.Unlock()
 	j.bcast.Close()
 	close(j.done)
@@ -106,13 +125,7 @@ func (j *job) requestCancel() {
 	case cancel != nil:
 		cancel() // worker observes and finishes the job
 	case queued:
-		j.finish(stateCancelled, &SolveResponse{
-			Status:       stateCancelled,
-			Name:         j.in.Name,
-			N:            j.in.N(),
-			InstanceHash: j.instanceHash(),
-			Params:       j.params.canonical(),
-		}, nil)
+		j.finish(stateCancelled, j.response(stateCancelled), nil)
 	}
 }
 

@@ -13,6 +13,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"weak"
+
+	"distclk/internal/tsp"
 )
 
 // testServer boots a service over httptest, tearing both down with the
@@ -452,6 +455,9 @@ func TestRequestValidation(t *testing.T) {
 		{"both forms", `{"coords":[[0,0],[1,1],[2,2],[3,3],[4,4],[5,5],[6,6],[7,7]],"tsplib":"NAME : x"}`},
 		{"bad metric", `{"coords":[[0,0],[1,1],[2,2],[3,3],[4,4],[5,5],[6,6],[7,7]],"metric":"hyperbolic"}`},
 		{"too small", `{"coords":[[0,0],[1,1],[2,2]]}`},
+		// Beyond the TSPLIB coordinate bound every distance overflows, and
+		// the solve would finish "done" with a meaningless length.
+		{"coordinate out of range", `{"coords":[[0,0],[1,1],[2,2],[3,3],[4,4],[5,5],[6,6],[6e300,7]]}`},
 		{"bad priority", `{"coords":[[0,0],[1,1],[2,2],[3,3],[4,4],[5,5],[6,6],[7,7]],"priority":"turbo"}`},
 		{"bad kick", `{"coords":[[0,0],[1,1],[2,2],[3,3],[4,4],[5,5],[6,6],[7,7]],"params":{"kick":"sideways"}}`},
 		{"budget too large", `{"coords":[[0,0],[1,1],[2,2],[3,3],[4,4],[5,5],[6,6],[7,7]],"params":{"budget_ms":99999999}}`},
@@ -471,6 +477,35 @@ func TestRequestValidation(t *testing.T) {
 	}
 	if resp, err := http.Get(ts.URL + "/v1/jobs/nope"); err != nil || resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown job: %v %d, want 404", err, resp.StatusCode)
+	}
+}
+
+// TestFinishedJobDropsInstance: a terminal job stays in the registry for
+// its status, which reads only the instance's name, size and hash. The
+// instance itself (and the k-d tree it may carry) must become garbage.
+func TestFinishedJobDropsInstance(t *testing.T) {
+	in := tsp.Generate(tsp.FamilyUniform, 50, 3)
+	j := newJob("j1", "interactive", strings.Repeat("0", 64)+"|p", in, SolveParams{})
+	name, freed := in.Name, weak.Make(in)
+	in = nil
+	j.finish(stateDone, j.response(stateDone), nil)
+	runtime.GC()
+	if freed.Value() != nil {
+		t.Fatal("a finished job still reaches its instance")
+	}
+	if st := j.status(); st.Result.Name != name || st.Result.N != 50 {
+		t.Fatalf("status %+v lost the instance's name or size", st.Result)
+	}
+
+	// The same through the service: a solved job keeps no instance.
+	svc, ts := testServer(t, Options{})
+	js := submitAsync(t, ts.URL, reqBody(t, 60, 2, SolveParams{MaxKicks: 10}, ""))
+	waitState(t, ts.URL, js.JobID, stateDone)
+	done := svc.jobByID(js.JobID)
+	done.mu.Lock()
+	defer done.mu.Unlock()
+	if done.in != nil {
+		t.Fatal("a done job in the registry still holds its instance")
 	}
 }
 

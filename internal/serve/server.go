@@ -381,7 +381,8 @@ func streamKind(k obs.Kind) bool {
 func (s *Server) runJob(ctx context.Context, j *job) (finish func()) {
 	jctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	if !j.setRunning(cancel) {
+	in := j.setRunning(cancel)
+	if in == nil {
 		return nil // cancelled while queued
 	}
 	opts := []distclk.Option{
@@ -400,16 +401,9 @@ func (s *Server) runJob(ctx context.Context, j *job) (finish func()) {
 	if j.params.RelaxDepth != nil {
 		opts = append(opts, distclk.WithRelaxedGain(*j.params.RelaxDepth))
 	}
-	solver, err := distclk.New(j.in, opts...)
+	solver, err := distclk.New(in, opts...)
 	if err != nil {
-		return s.finishJob(j, stateFailed, &SolveResponse{
-			Status:       stateFailed,
-			Name:         j.in.Name,
-			N:            j.in.N(),
-			InstanceHash: j.instanceHash(),
-			Params:       j.params.canonical(),
-			Error:        err.Error(),
-		}, false)
+		return s.failJob(j, err)
 	}
 
 	// Forward periodic progress snapshots into the event stream: the
@@ -435,33 +429,27 @@ func (s *Server) runJob(ctx context.Context, j *job) (finish func()) {
 	fwd.Wait()
 	cancelled := jctx.Err() != nil
 	if err != nil {
-		return s.finishJob(j, stateFailed, &SolveResponse{
-			Status:       stateFailed,
-			Name:         j.in.Name,
-			N:            j.in.N(),
-			InstanceHash: j.instanceHash(),
-			Params:       j.params.canonical(),
-			Error:        err.Error(),
-		}, false)
+		return s.failJob(j, err)
 	}
 	state := stateDone
 	if cancelled {
 		state = stateCancelled
 	}
-	resp := &SolveResponse{
-		Status:       state,
-		Name:         j.in.Name,
-		N:            j.in.N(),
-		InstanceHash: j.instanceHash(),
-		Params:       j.params.canonical(),
-		Tour:         res.Tour,
-		Length:       res.Length,
-		Kicks:        kicksOf(res),
-		ElapsedMS:    float64(res.Elapsed.Microseconds()) / 1000,
-	}
+	resp := j.response(state)
+	resp.Tour = res.Tour
+	resp.Length = res.Length
+	resp.Kicks = kicksOf(res)
+	resp.ElapsedMS = float64(res.Elapsed.Microseconds()) / 1000
 	// Only an uninterrupted solve is the canonical result for its
 	// parameters: cancelled best-so-far tours must not poison the cache.
 	return s.finishJob(j, state, resp, !cancelled)
+}
+
+// failJob returns what completes j as failed with err; nothing is cached.
+func (s *Server) failJob(j *job, err error) func() {
+	resp := j.response(stateFailed)
+	resp.Error = err.Error()
+	return s.finishJob(j, stateFailed, resp, false)
 }
 
 // finishJob marshals the terminal response, optionally caches it, and

@@ -126,6 +126,9 @@ func (r *SolveRequest) instance(maxN int) (*tsp.Instance, error) {
 		}
 		pts := make([]geom.Point, len(r.Coords))
 		for i, c := range r.Coords {
+			if err := tsp.CheckCoord(c[0], c[1]); err != nil {
+				return nil, fmt.Errorf("city %d: %w", i, err)
+			}
 			pts[i] = geom.Point{X: c[0], Y: c[1]}
 		}
 		name := r.Name

@@ -111,11 +111,7 @@ func Run(ctx context.Context, inst *tsp.Instance, cfg Config) Result {
 	gen := make([]int, cfg.Nodes)
 
 	stepCost := func(i int) time.Duration {
-		// Each in-node worker charges one StepCost share: a 4-worker node
-		// burns virtual time 4x faster, keeping virtual-second budgets
-		// comparable across EA.Workers settings. Replay stays byte-identical
-		// at any EA.Workers: a step is one round-synchronous clk.Group round.
-		d := cfg.StepCost * time.Duration(nodes[i].CostFactor())
+		d := cfg.StepCost
 		if i < len(cfg.SpeedFactors) && cfg.SpeedFactors[i] > 0 {
 			d = time.Duration(float64(d) * cfg.SpeedFactors[i])
 		}

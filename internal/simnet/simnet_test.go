@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -58,54 +57,50 @@ func marshalLog(t *testing.T, events []obs.Event) []byte {
 // Same (instance, Config) ⇒ byte-identical event log, fault tallies, and
 // result — the acceptance criterion for the whole subsystem.
 func TestDeterministicReplay(t *testing.T) {
-	// EA.Workers 2 runs every iteration as a two-worker clk.Group round:
-	// the round rule keeps replay independent of goroutine scheduling.
-	for _, workers := range []int{1, 2} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			in := tsp.Generate(tsp.FamilyUniform, 80, 27)
-			cfg := testConfig(8)
-			cfg.EA.Workers = workers
-			cfg.Budget.MaxIterations = 8
-			cfg.Link = chaosLink()
-			cfg.Partitions = []Partition{{
-				At:     200 * time.Millisecond,
-				Heal:   450 * time.Millisecond,
-				Groups: [][]int{{0, 1, 2, 3}},
-			}}
-			cfg.Crashes = []Crash{
-				{Node: 5, At: 150 * time.Millisecond, Restart: 400 * time.Millisecond, Fresh: true},
-				{Node: 2, At: 300 * time.Millisecond}, // never restarts
-			}
-			cfg.SpeedFactors = []float64{1, 1.5, 1, 2, 1, 1, 0.5, 1}
+	// Every node drives exactly one clk.Solver chain.
+	t.Run("workers=1", func(t *testing.T) {
+		in := tsp.Generate(tsp.FamilyUniform, 80, 27)
+		cfg := testConfig(8)
+		cfg.Budget.MaxIterations = 8
+		cfg.Link = chaosLink()
+		cfg.Partitions = []Partition{{
+			At:     200 * time.Millisecond,
+			Heal:   450 * time.Millisecond,
+			Groups: [][]int{{0, 1, 2, 3}},
+		}}
+		cfg.Crashes = []Crash{
+			{Node: 5, At: 150 * time.Millisecond, Restart: 400 * time.Millisecond, Fresh: true},
+			{Node: 2, At: 300 * time.Millisecond}, // never restarts
+		}
+		cfg.SpeedFactors = []float64{1, 1.5, 1, 2, 1, 1, 0.5, 1}
 
-			a := Run(context.Background(), in, cfg)
-			b := Run(context.Background(), in, cfg)
+		a := Run(context.Background(), in, cfg)
+		b := Run(context.Background(), in, cfg)
 
-			logA, logB := marshalLog(t, a.Events), marshalLog(t, b.Events)
-			if len(logA) == 0 {
-				t.Fatal("run produced no events")
-			}
-			if !bytes.Equal(logA, logB) {
-				t.Fatalf("event logs differ between replays:\n--- run A (%d bytes)\n%.2000s\n--- run B (%d bytes)\n%.2000s",
-					len(logA), logA, len(logB), logB)
-			}
-			if a.Faults != b.Faults {
-				t.Fatalf("fault stats differ: %+v vs %+v", a.Faults, b.Faults)
-			}
-			if a.BestLength != b.BestLength || a.VirtualElapsed != b.VirtualElapsed {
-				t.Fatalf("results differ: best %d/%d elapsed %v/%v",
-					a.BestLength, b.BestLength, a.VirtualElapsed, b.VirtualElapsed)
-			}
-			if len(a.BestTour) != len(b.BestTour) {
+		logA, logB := marshalLog(t, a.Events), marshalLog(t, b.Events)
+		if len(logA) == 0 {
+			t.Fatal("run produced no events")
+		}
+		if !bytes.Equal(logA, logB) {
+			t.Fatalf("event logs differ between replays:\n--- run A (%d bytes)\n%.2000s\n--- run B (%d bytes)\n%.2000s",
+				len(logA), logA, len(logB), logB)
+		}
+		if a.Faults != b.Faults {
+			t.Fatalf("fault stats differ: %+v vs %+v", a.Faults, b.Faults)
+		}
+		if a.BestLength != b.BestLength || a.VirtualElapsed != b.VirtualElapsed {
+			t.Fatalf("results differ: best %d/%d elapsed %v/%v",
+				a.BestLength, b.BestLength, a.VirtualElapsed, b.VirtualElapsed)
+		}
+		if len(a.BestTour) != len(b.BestTour) {
+			t.Fatal("best tours differ between replays")
+		}
+		for i := range a.BestTour {
+			if a.BestTour[i] != b.BestTour[i] {
 				t.Fatal("best tours differ between replays")
 			}
-			for i := range a.BestTour {
-				if a.BestTour[i] != b.BestTour[i] {
-					t.Fatal("best tours differ between replays")
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // A different seed must actually change the run — otherwise the replay test

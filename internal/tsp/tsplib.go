@@ -21,6 +21,15 @@ const (
 	maxCoord  = 5e8
 )
 
+// CheckCoord is the one coordinate rule for every instance source, TSPLIB
+// files and inline coordinates alike: |x| and |y| at most maxCoord.
+func CheckCoord(x, y float64) error {
+	if !(math.Abs(x) <= maxCoord && math.Abs(y) <= maxCoord) {
+		return fmt.Errorf("coordinate (%g, %g) out of range [-%g, %g]", x, y, maxCoord, maxCoord)
+	}
+	return nil
+}
+
 // ReadTSPLIB parses a TSPLIB-format .tsp file. Supported EDGE_WEIGHT_TYPEs:
 // EUC_2D, CEIL_2D, ATT, GEO, MAN_2D, MAX_2D, and EXPLICIT with
 // EDGE_WEIGHT_FORMAT FULL_MATRIX, UPPER_ROW, LOWER_ROW, UPPER_DIAG_ROW, or
@@ -92,8 +101,8 @@ func ReadTSPLIB(r io.Reader) (*Instance, error) {
 			if err1 != nil || err2 != nil {
 				return nil, fmt.Errorf("tsp: bad coordinate line %q", line)
 			}
-			if !(math.Abs(x) <= maxCoord && math.Abs(y) <= maxCoord) {
-				return nil, fmt.Errorf("tsp: coordinate out of range [-%g, %g] in %q", maxCoord, maxCoord, line)
+			if err := CheckCoord(x, y); err != nil {
+				return nil, fmt.Errorf("tsp: %w in %q", err, line)
 			}
 			pts = append(pts, geom.Point{X: x, Y: y})
 		case inEdge:

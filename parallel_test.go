@@ -44,11 +44,11 @@ func TestOptionMatrixValidation(t *testing.T) {
 		{"kicks per call without nodes", []Option{WithKicksPerCall(10)}, "WithKicksPerCall requires WithNodes"},
 		{"max kicks with nodes", []Option{WithNodes(2), WithMaxKicks(10)}, "WithMaxKicks bounds plain CLK"},
 		{"merge cadence with nodes", []Option{WithNodes(2), WithMergeEvery(100)}, "WithMergeEvery applies to parallel plain-CLK"},
-		{"auto workers with nodes", []Option{WithNodes(2), WithWorkers(0)}, "auto-sizing conflicts with WithNodes"},
+		{"auto workers with nodes", []Option{WithNodes(2), WithWorkers(0)}, "WithWorkers applies to plain-CLK"},
 		{"merge cadence at one worker", []Option{WithWorkers(1), WithMergeEvery(100)}, "requires WithWorkers(n > 1)"},
 		{"merge cadence without workers", []Option{WithMergeEvery(100)}, "requires WithWorkers(n > 1)"},
 		{"negative merge cadence", []Option{WithWorkers(2), WithMergeEvery(-1)}, "negative merge cadence"},
-		{"explicit workers with nodes", []Option{WithNodes(2), WithWorkers(2)}, ""},
+		{"explicit workers with nodes", []Option{WithNodes(2), WithWorkers(2)}, "WithWorkers applies to plain-CLK"},
 		{"auto workers plain", []Option{WithWorkers(0)}, ""},
 		{"merge cadence with workers", []Option{WithWorkers(4), WithMergeEvery(100)}, ""},
 	}
